@@ -7,7 +7,7 @@ writes the HN polygon as a standalone SVG file.
 
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,
-zero object, out-of-range integers).
+zero object, out-of-range integers) or a certificate that fails to verify.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import bc, cocycles, derham, sheaves, tilting
 from .complexes import ShiftProfile, cohomology, complex_to_json, decalage, koszul
+from .errors import CertificateError
 from .exactalg import POLY_OVER_RATIONALS
 from .parser import ParseError, parse_object, parse_poly
 from .sheaves import CoherentSheaf, TiltedObject
@@ -401,7 +402,7 @@ def cmd_derham(args) -> None:
         lines.append("  i=%d  %s" % (i, body))
     if qp.boundary:
         lines.append(
-            "frontier (untested at truncation): "
+            "frontier (certified at truncation): "
             + " ".join("(%d,%d)" % t for t in sorted(qp.boundary))
         )
     _emit(args, "derham", lines, payload)
@@ -550,7 +551,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, CertificateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -455,28 +455,50 @@ def pullback_d3(f3, f2):
 
 # ------------------------------------------------------------ linear algebra
 
+def _primitive(row: List[int]) -> List[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _rref(rows: List[List[Fraction]]):
-    rows = [[Fraction(v) for v in row] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    """Reduced row echelon form over Q: (rank, pivot columns, rows).
+
+    Each row is scaled to integers by the lcm of its denominators and the
+    elimination runs on primitive integer rows; only the pivot rows become
+    Fractions, once their pivots are divided out.  The RREF is unique, so
+    this is the form a Fraction elimination would give.
+    """
+    ints = []
+    for row in rows:  # entries are ints or Fractions
+        den = math.lcm(*(v.denominator for v in row))
+        ints.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
+    nrows = len(ints)
+    ncols = len(ints[0]) if ints else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if ints[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [v / lead for v in rows[r]]
+        ints[r], ints[pivot] = ints[pivot], ints[r]
+        prow = ints[r]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            f = ints[i][c]
+            if i != r and f:
+                g = math.gcd(prow[c], f)
+                p, f = prow[c] // g, f // g
+                ints[i] = _primitive([p * a - f * b for a, b in zip(ints[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r, pivots, rows
+    zero = Fraction(0)
+    red = [
+        [Fraction(v, ints[k][c]) if v else zero for v in ints[k]]
+        for k, c in enumerate(pivots)
+    ]
+    red.extend([zero] * ncols for _ in range(r, nrows))
+    return r, pivots, red
 
 
 def _rank(rows) -> int:
@@ -568,6 +590,9 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
         scalars -> functions of one variable -> functions of two variables
         -> degree -2 components is exact at the two middle spots.
     """
+    if degree_poly < 1 or degree_mahler < 1:
+        # both windows must contain the identity function, of degree 1
+        raise ValueError("degree bounds must be at least 1")
     keys1 = _keys_up_to(1, degree_poly)
     keys2 = _keys_up_to(2, degree_poly)
     columns = [

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ffcurve import bc, cli, tilting
+from ffcurve import bc, cli, derham, tilting
 from ffcurve.parser import parse_sheaf
 
 
@@ -201,6 +201,17 @@ def test_cocycle_argument_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "cocycle", "0")
     assert code == 1
+    for bound in ("0", "-1"):
+        code, out, err = run(capsys, "cocycle", "--report", "--trunc", bound)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_certificate_failure_exit_code(capsys, monkeypatch):
+    real_d = derham._d
+    monkeypatch.setattr(derham, "_d", lambda f: {g: 2 * c for g, c in real_d(f).items()})
+    code, out, err = run(capsys, "derham", "2", "--trunc", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_info_sheaf_json(capsys):

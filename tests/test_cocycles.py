@@ -8,9 +8,11 @@ expansion of small cases.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from ffcurve import cocycles
 from ffcurve.cocycles import (
     LEVEL_ARITIES,
     MahlerFunc,
@@ -339,6 +341,13 @@ def test_symmetric_cocycle_quotient_through_degree_eight():
         assert three.is_zero() and two.is_zero()
 
 
+def test_symmetric_cocycle_is_scaled_coboundary_through_degree_24():
+    # the basis vector is ((x+y)^q - x^q - y^q) / q, normalised at x*y^(q-1)
+    for q in range(2, 25):
+        (f,) = symmetric_2cocycle_report(q)["cocycle_basis"]
+        assert f.coeffs == {(a, q - a): Fraction(comb(q, a), q) for a in range(1, q)}
+
+
 def test_symmetric_cocycle_rejects_bad_degree():
     with pytest.raises(ValueError):
         symmetric_2cocycle_report(0)
@@ -361,3 +370,76 @@ def test_hom_column_checks_report():
     assert mahler["homology_dims"] == (0, 0)
     assert mahler["exact"]
     assert rep["ok"]
+
+
+def test_hom_column_checks_rejects_empty_windows():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            hom_column_checks(bad, 4)
+        with pytest.raises(ValueError):
+            hom_column_checks(6, bad)
+
+
+# ------------------------------------------------------------ linear algebra
+
+def _fraction_rref(rows):
+    """Gauss-Jordan over Fractions: the reference the integer RREF must match."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, rows
+
+
+def _random_rational_matrix(rng, m, n):
+    def entry():
+        kind = rng.random()
+        if kind < 0.4:
+            return Fraction(0)
+        if kind < 0.7:
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+    if n > 1 and rng.random() < 0.3:
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = Fraction(0)
+    if m > 1 and rng.random() < 0.3:  # a dependent row
+        a, b = rng.sample(range(m), 2)
+        k = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        rows[a] = [k * v for v in rows[b]]
+    return rows
+
+
+def test_rref_matches_fraction_elimination():
+    rng = random.Random(4711)
+    shapes = [(1, n) for n in range(1, 8)] + [(m, 1) for m in range(1, 8)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(300)]
+    for m, n in shapes:
+        rows = _random_rational_matrix(rng, m, n)
+        rank, pivots, red = cocycles._rref(rows)
+        assert (rank, pivots, red) == _fraction_rref(rows)
+        assert all(type(v) is Fraction for row in red for v in row)
+        kernel = cocycles._kernel_basis(rows, n)
+        assert len(kernel) == n - rank
+        for vec in kernel:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    assert cocycles._rref([]) == (0, [], [])
+    assert cocycles._kernel_basis([], 3) == [
+        [Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]
+    ]

@@ -1,12 +1,35 @@
 """Graded de Rham pieces: dimensions, the derivative, exactness."""
 
-import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from ffcurve.derham import build, ga_cohomology, int_rank, qp_cohomology
+from ffcurve import derham
+from ffcurve.derham import build, ga_cohomology, qp_cohomology
+from ffcurve.errors import CertificateError
+
+
+def frac_rank(rows, ncols):
+    """Rank over Q by plain Fraction elimination, independent of the library."""
+    A = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        for i in range(rank + 1, len(A)):
+            if A[i][col]:
+                f = A[i][col] / A[rank][col]
+                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
+def piece_rank(g, i, e):
+    dim = g.dimension(i, e)
+    return frac_rank(g.differential(i, e), dim) if dim else 0
 
 
 def test_dimension_tables_line():
@@ -68,50 +91,70 @@ def test_qp_plane_weight_one():
     assert rep.table[1][1] == 2
 
 
+def test_ga_tables_match_build():
+    for n in (1, 2, 3):
+        for D in (1, 2, 5):
+            g = build(n, D)
+            assert ga_cohomology(n, D) == {i: g.pieces(i) for i in range(n + 1)}
+    with pytest.raises(ValueError):
+        ga_cohomology(0, 3)
+    with pytest.raises(ValueError):
+        ga_cohomology(2, 0)
+
+
 def test_qp_higher_strands_vanish():
     # full strands are exact, so H^i = 0 away from the constants
     rep = qp_cohomology(2, 5)
     g = build(2, 5)
     for i in range(1, 3):
         for w, ker in rep.table[i].items():
-            e = w - i
-            src = g.dimension(i - 1, e + 1)
-            im = int_rank(g.differential(i - 1, e + 1), src) if src else 0
-            assert ker == im  # holds on the frontier too
+            assert ker == piece_rank(g, i - 1, w - i + 1)  # holds on the frontier too
 
 
 def test_rank_nullity_per_piece():
     g = build(2, 4)
-    for (i, e), M in g.mats.items():
+    for (i, e) in g.mats:
         dim = g.dimension(i, e)
-        if dim == 0:
-            continue
-        r = int_rank(M, dim) if M else 0
-        ker = dim - r
-        assert 0 <= ker <= dim
+        assert 0 <= dim - piece_rank(g, i, e) <= dim
 
 
-def test_int_rank_against_fraction_elimination():
-    def frac_rank(rows, ncols):
-        A = [[Fraction(x) for x in r] for r in rows]
-        rank = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
-            if piv is None:
-                continue
-            A[rank], A[piv] = A[piv], A[rank]
-            A[rank] = [x / A[rank][col] for x in A[rank]]
-            for i in range(len(A)):
-                if i != rank and A[i][col]:
-                    f = A[i][col]
-                    A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
-            rank += 1
-        return rank
+def test_qp_tables_match_ranks():
+    # kernel dims from exact ranks of the stored differentials, frontier included
+    ranks = {}
+    for n in (1, 2, 3):
+        for D in range(1, 7):
+            g = build(n, D)
+            rep = qp_cohomology(n, D)
+            assert rep.table[0] == {0: 1}
+            assert rep.boundary == {(i, D) for i in range(1, min(n, D) + 1)}
+            for i in range(1, n + 1):
+                want = {}
+                for w in range(i, D + 1):
+                    for key in ((i, w - i), (i - 1, w - i + 1)):
+                        M = g.differential(*key)
+                        if M not in ranks:
+                            ranks[M] = piece_rank(g, *key)
+                    ker = g.dimension(i, w - i) - ranks[g.differential(i, w - i)]
+                    assert ker == ranks[g.differential(i - 1, w - i + 1)]  # exact
+                    want[w] = ker
+                assert rep.table[i] == want
 
-    rng = random.Random(53)
-    for _ in range(150):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = tuple(
-            tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(m)
-        )
-        assert int_rank(rows, n) == frac_rank(rows, n)
+
+def test_corrupt_differential_fails_certificate(monkeypatch):
+    real_d = derham._d
+    # twice d on one weight strand still squares to zero, but d.iota + iota.d
+    # becomes 2w there: every strand is certified, the frontier w = D included
+    for w in range(1, 4):
+        monkeypatch.setattr(derham, "_d", lambda f, w=w: {
+            g: 2 * c if len(f[0]) + sum(f[1]) == w else c for g, c in real_d(f).items()
+        })
+        build(2, 3)
+        with pytest.raises(CertificateError):
+            qp_cohomology(2, 3)
+    # flipping d on the dx forms breaks d(d(xy)) = 0
+    monkeypatch.setattr(
+        derham, "_d",
+        lambda f: {g: -c if f[0] == (0,) else c for g, c in real_d(f).items()},
+    )
+    with pytest.raises(CertificateError):
+        build(2, 2)
