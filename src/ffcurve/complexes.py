@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import CertificateError
 from .exactalg import (
     DOMAINS,
     CoeffDomain,
@@ -136,9 +137,11 @@ def cohomology(C: BoundedComplex) -> Dict[int, Tuple[int, Tuple]]:
         k = d_out.cols - r
         # image of d_{j-1} in kernel coordinates: rows past the rank of Vinv @ d_in
         coords = mat_mul(dom, f.Vinv, d_in)
-        for i in range(r):
-            # d o d = 0 means the image lives inside the kernel
-            assert all(dom.is_zero(x) for x in coords.data[i])
+        # d o d = 0 means the image lives inside the kernel
+        if any(x for row in coords.data[:r] for x in row):
+            raise CertificateError(
+                "image of d_%d is not inside the kernel of d_%d" % (j - 1, j)
+            )
         M = Mat(k, d_in.cols, coords.data[r:])
         g = smith_normal_form(dom, M)
         factors = tuple(s for s in g.invariant_factors if s != dom.one)
@@ -289,7 +292,14 @@ def decalage(C: BoundedComplex, f, delta: ShiftProfile) -> BoundedComplex:
     f = dom.convert(f)
     if dom.is_zero(f):
         raise ValueError("decalage needs a non-zero-divisor f")
-    terms = _eta_terms(C, f, delta)
+    return _decalage(C, f, delta, _eta_terms(C, f, delta))
+
+
+def _decalage(
+    C: BoundedComplex, f, delta: ShiftProfile, terms: List[_EtaTerm]
+) -> BoundedComplex:
+    """decalage with f converted and checked, on C's precomputed eta terms."""
+    dom = C.domain
     diffs = []
     for i, j in enumerate(range(C.lowest, C.highest)):
         c = max(0, delta(j + 1) - delta(j))
@@ -382,14 +392,17 @@ def decalage_map(phi: ChainMap, f, delta: ShiftProfile) -> ChainMap:
     f = dom.convert(f)
     if dom.is_zero(f):
         raise ValueError("decalage needs a non-zero-divisor f")
+    # one Smith pass per distinct complex: its eta terms give both the
+    # shifted complex and the coordinates of the induced components
     src_terms = _eta_terms(phi.source, f, delta)
-    tgt_terms = _eta_terms(phi.target, f, delta)
+    source = _decalage(phi.source, f, delta, src_terms)
+    if phi.target is phi.source:
+        tgt_terms, target = src_terms, source
+    else:
+        tgt_terms = _eta_terms(phi.target, f, delta)
+        target = _decalage(phi.target, f, delta, tgt_terms)
     comps = []
     for i in range(len(phi.components)):
         W = mat_mul(dom, phi.components[i], src_terms[i].B)
         comps.append(tgt_terms[i].coordinates(dom, W))
-    return ChainMap(
-        decalage(phi.source, f, delta),
-        decalage(phi.target, f, delta),
-        tuple(comps),
-    )
+    return ChainMap(source, target, tuple(comps))

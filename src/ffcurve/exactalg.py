@@ -44,9 +44,9 @@ class CoeffDomain:
         raise NotImplementedError
 
     def divides(self, a, b) -> bool:
-        if self.is_zero(a):
-            return self.is_zero(b)
-        return self.is_zero(self.divmod(b, a)[1])
+        if not a:
+            return not b
+        return not self.divmod(b, a)[1]
 
     def pow(self, a, n: int):
         out = self.one
@@ -104,6 +104,9 @@ class _Rationals(CoeffDomain):
     def divmod(self, a, b):
         return a / b, Fraction(0)
 
+    def divides(self, a, b) -> bool:
+        return bool(a) or not b
+
     def norm(self, a) -> int:
         return 0 if a == 0 else 1
 
@@ -140,6 +143,10 @@ class _PolyOverRationals(CoeffDomain):
 
     def norm(self, a) -> int:
         return 0 if a.is_zero else a.degree + 1
+
+    def divides(self, a, b) -> bool:
+        # a nonzero constant is a unit
+        return a.degree == 0 or super().divides(a, b)
 
     def canonical_unit(self, a):
         return Poly.const(1) if a.is_zero else Poly.const(1 / a.leading)
@@ -217,14 +224,15 @@ def mat_mul(dom: CoeffDomain, A: Mat, B: Mat) -> Mat:
     if A.cols != B.rows:
         raise ValueError("shape mismatch %sx%s @ %sx%s" % (A.rows, A.cols, B.rows, B.cols))
     out = []
-    for i in range(A.rows):
-        row = []
-        for j in range(B.cols):
-            acc = dom.zero
-            for k in range(A.cols):
-                acc = acc + A.data[i][k] * B.data[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for arow in A.data:
+        acc = [dom.zero] * B.cols
+        for a, brow in zip(arow, B.data):
+            if not a:
+                continue
+            for j, b in enumerate(brow):
+                if b:
+                    acc[j] = acc[j] + a * b
+        out.append(tuple(acc))
     return Mat(A.rows, B.cols, tuple(out))
 
 
@@ -293,6 +301,9 @@ class SmithForm:
 
 
 def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
+    # Entries are tested for zero by truthiness (int, Fraction and Poly all
+    # support it), and every row/column operation skips zero source entries:
+    # in exact arithmetic the skipped terms are zero, so no result changes.
     m, n = A.rows, A.cols
     S = [list(row) for row in A.data]
     U = [list(row) for row in identity(dom, m).data]
@@ -316,45 +327,53 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
     def row_add(i, j, q):
         # row_i += q * row_j; Uinv gets the inverse column operation
         for mtx in (S, U):
-            ri, rj = mtx[i], mtx[j]
-            for k in range(len(ri)):
-                ri[k] = ri[k] + q * rj[k]
+            ri = mtx[i]
+            for k, x in enumerate(mtx[j]):
+                if x:
+                    ri[k] = ri[k] + q * x
         for r in Ui:
-            r[j] = r[j] - q * r[i]
+            if r[i]:
+                r[j] = r[j] - q * r[i]
 
     def col_add(j, i, q):
         # col_j += q * col_i; Vinv gets the inverse row operation
         for mtx in (S, V):
             for r in mtx:
-                r[j] = r[j] + q * r[i]
-        ri, rj = Vi[i], Vi[j]
-        for k in range(len(ri)):
-            ri[k] = ri[k] - q * rj[k]
+                if r[i]:
+                    r[j] = r[j] + q * r[i]
+        ri = Vi[i]
+        for k, x in enumerate(Vi[j]):
+            if x:
+                ri[k] = ri[k] - q * x
 
     def row_scale(i, u):
         uinv = dom.unit_inverse(u)
         for mtx in (S, U):
-            mtx[i] = [u * x for x in mtx[i]]
+            mtx[i] = [u * x if x else x for x in mtx[i]]
         for r in Ui:
-            r[i] = r[i] * uinv
+            if r[i]:
+                r[i] = r[i] * uinv
 
-    def nonzero_positions(t):
+    def pivot_position(t):
+        # first entry of least norm in row-major order; 1 is the least norm
+        # of a nonzero element in every domain, so the scan may stop there
+        best = None
         for i in range(t, m):
-            row = S[i]
-            for j in range(t, n):
-                if not dom.is_zero(row[j]):
-                    yield i, j
+            for j, x in enumerate(S[i][t:], t):
+                if x:
+                    w = dom.norm(x)
+                    if w == 1:
+                        return i, j
+                    if best is None or w < best[0]:
+                        best = (w, i, j)
+        return best and best[1:]
 
     t = 0
     while t < min(m, n):
-        best = None
-        for i, j in nonzero_positions(t):
-            w = dom.norm(S[i][j])
-            if best is None or w < best[0]:
-                best = (w, i, j)
-        if best is None:
+        pos = pivot_position(t)
+        if pos is None:
             break
-        _, bi, bj = best
+        bi, bj = pos
         if bi != t:
             row_swap(t, bi)
         if bj != t:
@@ -362,39 +381,39 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
         while True:
             dirty = False
             for i in range(t + 1, m):
-                if dom.is_zero(S[i][t]):
+                if not S[i][t]:
                     continue
                 q, r = dom.divmod(S[i][t], S[t][t])
-                if not dom.is_zero(q):
+                if q:
                     row_add(i, t, -q)
-                if not dom.is_zero(r):
+                if r:
                     row_swap(t, i)
                     dirty = True
                     break
             if dirty:
                 continue
             for j in range(t + 1, n):
-                if dom.is_zero(S[t][j]):
+                if not S[t][j]:
                     continue
                 q, r = dom.divmod(S[t][j], S[t][t])
-                if not dom.is_zero(q):
+                if q:
                     col_add(j, t, -q)
-                if not dom.is_zero(r):
+                if r:
                     col_swap(t, j)
                     dirty = True
                     break
             if dirty:
                 continue
             # pivot must divide the rest of the submatrix for the chain
-            stray = None
-            for i in range(t + 1, m):
-                row = S[i]
-                for j in range(t + 1, n):
-                    if not dom.is_zero(dom.divmod(row[j], S[t][t])[1]):
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            p = S[t][t]
+            stray = next(
+                (
+                    i
+                    for i in range(t + 1, m)
+                    if any(x and not dom.divides(p, x) for x in S[i][t + 1 :])
+                ),
+                None,
+            )
             if stray is None:
                 break
             row_add(t, stray, dom.one)

@@ -11,16 +11,27 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 
+def _trimmed(cs: List[Fraction]) -> Tuple[Fraction, ...]:
+    """The coefficients without trailing zeros; pops them off cs."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 class Poly:
     """Immutable element of Q[t]; coefficients stored low degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs: List[Fraction] = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: Tuple[Fraction, ...] = _trimmed([Fraction(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, cs: List[Fraction]) -> "Poly":
+        """Poly from a list that holds only Fractions, without re-wrapping them."""
+        p = object.__new__(cls)
+        p.coeffs = _trimmed(cs)
+        return p
 
     @staticmethod
     def const(value) -> "Poly":
@@ -29,6 +40,9 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -58,12 +72,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         q = self._coerced(other)
@@ -82,11 +96,12 @@ class Poly:
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(q.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(q.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+                if b:
+                    out[i + j] += a * b
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -113,10 +128,11 @@ class Poly:
             k = len(r) - nb
             q[k] = c
             for i, bc in enumerate(b.coeffs):
-                r[k + i] -= c * bc
-            while r and r[-1] == 0:
+                if bc:
+                    r[k + i] -= c * bc
+            while r and not r[-1]:
                 r.pop()
-        return Poly(q), Poly(r)
+        return Poly._of(q), Poly._of(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -128,7 +144,7 @@ class Poly:
         if self.is_zero:
             return self
         lead = self.leading
-        return Poly(tuple(c / lead for c in self.coeffs))
+        return Poly._of([c / lead for c in self.coeffs])
 
     def __call__(self, x):
         value = Fraction(0) if isinstance(x, (int, Fraction)) else Poly()

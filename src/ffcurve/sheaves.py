@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import CertificateError
 from .slopes import INFINITY, Slope, hom_slope_data, reduce
 
 
@@ -209,7 +210,11 @@ def h1(F: CoherentSheaf) -> BCInvariant:
 def chi(F: CoherentSheaf) -> BCInvariant:
     out = h0(F) - h1(F)
     # Riemann-Roch shape: chi = (degree, rank)
-    assert out == BCInvariant(F.degree, F.rank)
+    if out != BCInvariant(F.degree, F.rank):
+        raise CertificateError(
+            "Riemann-Roch failed: chi = %s, (degree, rank) = (%d, %d)"
+            % (tuple(out), F.degree, F.rank)
+        )
     return out
 
 

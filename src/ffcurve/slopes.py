@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
+from .errors import CertificateError
+
 
 class Slope:
     """A reduced slope d/h (h >= 1), or the distinguished infinite slope."""
@@ -119,5 +121,8 @@ def hom_slope_data(lam: Slope, mu: Slope) -> Tuple[Slope, int]:
     diff = mu.value - lam.value
     nu = from_fraction(diff)
     m, rem = divmod(lam.h * mu.h, nu.h)
-    assert rem == 0, "rank identity failed: %d * %d not divisible by %d" % (lam.h, mu.h, nu.h)
+    if rem:
+        raise CertificateError(
+            "rank identity failed: %d * %d not divisible by %d" % (lam.h, mu.h, nu.h)
+        )
     return nu, m

@@ -127,9 +127,10 @@ class HomMatrix:
 def hom_tilted(A: TiltedObject, B: TiltedObject) -> HomMatrix:
     """Hom matrix in the tilted heart.
 
-    Rows split the source (neg, pos), columns the target; the off-diagonal
-    hom from the source pos part into the target neg part is an Ext^1 of
-    sheaves, and the other corner vanishes.
+    Rows index the target part (neg, pos) and columns the source part
+    (neg, pos), so entries[r][c] is the hom from source part c into target
+    part r. The corner [0][1], from the source pos part into the target neg
+    part, is Ext^1(A.pos, B.neg) of sheaves; the corner [1][0] vanishes.
     """
     return HomMatrix(
         (

@@ -278,3 +278,21 @@ def test_decalage_map_preserves_quasi_iso_smoke():
     for _ in range(6):
         phi = random_qis(INTEGERS, rng, n_terms=3, max_atoms=3)
         assert is_quasi_iso(decalage_map(phi, 2, delta))
+
+
+def test_decalage_map_ends_are_the_decalages():
+    # decalage_map builds its ends from the eta terms it already has; they
+    # must be the complexes decalage builds on its own
+    rng = random.Random(71)
+    delta = ShiftProfile.identity(0, 3)
+    C = koszul(POLY, (t * (t + 1), t * (t - 2), t**2))
+    maps = [identity_chain_map(C)]
+    maps += [random_qis(POLY, rng, n_terms=3, max_atoms=2) for _ in range(3)]
+    maps += [random_qis(INTEGERS, rng, n_terms=3, max_atoms=3) for _ in range(3)]
+    for phi in maps:
+        f = t if phi.source.domain is POLY else 2
+        psi = decalage_map(phi, f, delta)
+        assert psi.source == decalage(phi.source, f, delta)
+        assert psi.target == decalage(phi.target, f, delta)
+    psi = decalage_map(maps[0], t, delta)
+    assert all(comp == identity(POLY, comp.rows) for comp in psi.components)

@@ -1,0 +1,56 @@
+"""Mathematical checks raise CertificateError, never a bare assert.
+
+Each check gets an input corrupted through monkeypatch; the last test keeps
+`assert` out of the library, since `python -O` strips it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from ffcurve import complexes, sheaves, slopes
+from ffcurve.errors import CertificateError
+from ffcurve.exactalg import INTEGERS, mat
+from ffcurve.sheaves import BCInvariant, O
+from ffcurve.slopes import Slope, hom_slope_data
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ffcurve"
+
+
+def test_cohomology_rejects_image_outside_kernel(monkeypatch):
+    # d1 d0 = 4 != 0: skip the constructor's check to reach cohomology's own
+    monkeypatch.setattr(complexes.BoundedComplex, "__post_init__", lambda self: None)
+    d = mat(INTEGERS, [[2]])
+    C = complexes.BoundedComplex(INTEGERS, 0, (1, 1, 1), (d, d))
+    with pytest.raises(CertificateError):
+        complexes.cohomology(C)
+
+
+def test_chi_rejects_riemann_roch_failure(monkeypatch):
+    F = O(3)
+    assert sheaves.chi(F) == BCInvariant(3, 1)
+    monkeypatch.setattr(sheaves, "h1", lambda F: BCInvariant(1, 0))
+    with pytest.raises(CertificateError):
+        sheaves.chi(F)
+
+
+def test_hom_slope_data_rejects_rank_identity_failure(monkeypatch):
+    lam, mu = Slope(1, 2), Slope(1, 3)
+    assert hom_slope_data(lam, mu) == (Slope(-1, 6), 1)
+    # a difference of height 5 cannot divide 2 * 3
+    monkeypatch.setattr(slopes, "from_fraction", lambda diff: Slope(1, 5))
+    with pytest.raises(CertificateError):
+        hom_slope_data(lam, mu)
+
+
+def test_library_has_no_assert():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

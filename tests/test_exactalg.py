@@ -16,6 +16,7 @@ from ffcurve.exactalg import (
     POLY_OVER_RATIONALS,
     RATIONALS,
     Mat,
+    SmithForm,
     block_diag2,
     hstack,
     identity,
@@ -30,7 +31,7 @@ from ffcurve.exactalg import (
 )
 from ffcurve.polyring import Poly, T_VAR, poly_gcd
 
-from gen import random_mat
+from gen import random_element, random_mat
 
 t = T_VAR
 
@@ -180,3 +181,275 @@ def test_snf_rationals_are_units():
     A = random_mat(RATIONALS, rng, 3, 3)
     f = smith_normal_form(RATIONALS, A)
     assert all(d == 1 for d in f.invariant_factors)
+
+
+# ------------------------------------------------- zero-skipping kernels
+#
+# The kernels skip zero entries and test zeros by truthiness.  Exact
+# arithmetic makes the skipped terms vanish, so they must return exactly
+# what the dense loops below return.  These are the dense kernels as they
+# stood before zero skipping, kept here as the reference.
+
+
+def _dense_mat_mul(dom, A, B):
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = dom.zero
+            for k in range(A.cols):
+                acc = acc + A.data[i][k] * B.data[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return Mat(A.rows, B.cols, tuple(out))
+
+
+def _dense_smith_normal_form(dom, A):
+    m, n = A.rows, A.cols
+    S = [list(row) for row in A.data]
+    U = [list(row) for row in identity(dom, m).data]
+    Ui = [list(row) for row in identity(dom, m).data]
+    V = [list(row) for row in identity(dom, n).data]
+    Vi = [list(row) for row in identity(dom, n).data]
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+        for r in Ui:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in S:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
+
+    def row_add(i, j, q):
+        for mtx in (S, U):
+            ri, rj = mtx[i], mtx[j]
+            for k in range(len(ri)):
+                ri[k] = ri[k] + q * rj[k]
+        for r in Ui:
+            r[j] = r[j] - q * r[i]
+
+    def col_add(j, i, q):
+        for mtx in (S, V):
+            for r in mtx:
+                r[j] = r[j] + q * r[i]
+        ri, rj = Vi[i], Vi[j]
+        for k in range(len(ri)):
+            ri[k] = ri[k] - q * rj[k]
+
+    def row_scale(i, u):
+        uinv = dom.unit_inverse(u)
+        for mtx in (S, U):
+            mtx[i] = [u * x for x in mtx[i]]
+        for r in Ui:
+            r[i] = r[i] * uinv
+
+    def nonzero_positions(t):
+        for i in range(t, m):
+            row = S[i]
+            for j in range(t, n):
+                if not dom.is_zero(row[j]):
+                    yield i, j
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i, j in nonzero_positions(t):
+            w = dom.norm(S[i][j])
+            if best is None or w < best[0]:
+                best = (w, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if dom.is_zero(S[i][t]):
+                    continue
+                q, r = dom.divmod(S[i][t], S[t][t])
+                if not dom.is_zero(q):
+                    row_add(i, t, -q)
+                if not dom.is_zero(r):
+                    row_swap(t, i)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if dom.is_zero(S[t][j]):
+                    continue
+                q, r = dom.divmod(S[t][j], S[t][t])
+                if not dom.is_zero(q):
+                    col_add(j, t, -q)
+                if not dom.is_zero(r):
+                    col_swap(t, j)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            stray = None
+            for i in range(t + 1, m):
+                row = S[i]
+                for j in range(t + 1, n):
+                    if not dom.is_zero(dom.divmod(row[j], S[t][t])[1]):
+                        stray = i
+                        break
+                if stray is not None:
+                    break
+            if stray is None:
+                break
+            row_add(t, stray, dom.one)
+        u = dom.canonical_unit(S[t][t])
+        if u != dom.one:
+            row_scale(t, u)
+        t += 1
+
+    freeze = lambda mtx, r, c: Mat(r, c, tuple(tuple(row) for row in mtx))
+    return SmithForm(
+        S=freeze(S, m, n),
+        U=freeze(U, m, m),
+        Uinv=freeze(Ui, m, m),
+        V=freeze(V, n, n),
+        Vinv=freeze(Vi, n, n),
+        rank=t,
+    )
+
+
+def _typed(M):
+    """Entries with their types: Fraction(1) == 1 would hide a changed type."""
+    return tuple(tuple((type(x), x) for x in row) for row in M.data)
+
+
+def _sparse_mat(dom, rng, m, n, density):
+    """Random m x n matrix with about `density` nonzeros, sometimes with a
+    zero row and a zero column."""
+    rows = [
+        [
+            dom.convert(random_element(dom, rng)) if rng.random() < density else dom.zero
+            for _ in range(n)
+        ]
+        for _ in range(m)
+    ]
+    if m and n and rng.random() < 0.3:
+        rows[rng.randrange(m)] = [dom.zero] * n
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = dom.zero
+    return Mat(m, n, tuple(tuple(row) for row in rows))
+
+
+# largest side per domain: Q[t] Smith forms blow up fastest
+_KERNEL_SIZES = {INTEGERS: 12, RATIONALS: 12, POLY_OVER_RATIONALS: 9}
+_EMPTY_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1))
+
+
+def _kernel_cases(dom, rng, rounds):
+    yield from ((m, n, 1.0) for m, n in _EMPTY_SHAPES)
+    top = _KERNEL_SIZES[dom]
+    for _ in range(rounds):
+        density = rng.choice((0.1, 0.25, 0.5, 1.0))
+        if dom is POLY_OVER_RATIONALS and density == 1.0:
+            density = 0.5
+        yield rng.randint(1, top), rng.randint(1, top), density
+
+
+def test_mat_mul_matches_dense_loops():
+    rng = random.Random(41)
+    for dom in (INTEGERS, RATIONALS, POLY_OVER_RATIONALS):
+        for m, n, density in _kernel_cases(dom, rng, 40):
+            k = rng.randint(0, _KERNEL_SIZES[dom])
+            A = _sparse_mat(dom, rng, m, k, density)
+            B = _sparse_mat(dom, rng, k, n, density)
+            got, want = mat_mul(dom, A, B), _dense_mat_mul(dom, A, B)
+            assert got == want
+            assert _typed(got) == _typed(want)
+
+
+def test_smith_form_matches_dense_loops():
+    rng = random.Random(43)
+    for dom in (INTEGERS, RATIONALS, POLY_OVER_RATIONALS):
+        rounds = 25 if dom is POLY_OVER_RATIONALS else 60
+        for m, n, density in _kernel_cases(dom, rng, rounds):
+            A = _sparse_mat(dom, rng, m, n, density)
+            got, want = smith_normal_form(dom, A), _dense_smith_normal_form(dom, A)
+            assert got == want, (dom, m, n, density)
+            for name in ("S", "U", "Uinv", "V", "Vinv"):
+                assert _typed(getattr(got, name)) == _typed(getattr(want, name))
+
+
+def test_divides_matches_remainder():
+    rng = random.Random(47)
+    for dom in (INTEGERS, RATIONALS, POLY_OVER_RATIONALS):
+        for _ in range(60):
+            a = dom.convert(random_element(dom, rng))
+            b = dom.convert(random_element(dom, rng))
+            if dom.is_zero(a):
+                assert dom.divides(a, b) == dom.is_zero(b)
+            else:
+                assert dom.divides(a, b) == dom.is_zero(dom.divmod(b, a)[1])
+
+
+def test_poly_results_hold_trimmed_fractions():
+    rng = random.Random(53)
+
+    def rand_poly():
+        return Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+
+    def check(p):
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+
+    for _ in range(200):
+        a, b = rand_poly(), rand_poly()
+        for p in (a + b, a - b, a - a, -a, a * b, a * 0, a + 2, 3 * a, a.monic()):
+            check(p)
+        if not b.is_zero:
+            q, r = divmod(a, b)
+            check(q)
+            check(r)
+
+
+def test_poly_truthiness():
+    assert bool(Poly()) is False
+    assert bool(Poly((0, 1))) is True
+    assert bool(Poly((0, 0))) is False
+    assert bool(Poly.const(Fraction(1, 2))) is True
+    assert bool(t - t) is False
+
+
+# ------------------------------------------------------------ sympy oracle
+
+
+def test_smith_form_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(59)
+    for _ in range(40):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 1.0))
+        A = _sparse_mat(INTEGERS, rng, m, n, density)
+        D = sympy_snf(sympy.Matrix(A.data), domain=sympy.ZZ)
+        want = tuple(abs(int(D[i, i])) for i in range(min(m, n)) if D[i, i] != 0)
+        assert smith_normal_form(INTEGERS, A).invariant_factors == want
+
+
+def test_rank_over_rationals_against_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    rng = random.Random(61)
+    for _ in range(40):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 1.0))
+        A = _sparse_mat(RATIONALS, rng, m, n, density)
+        M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                          for row in A.data])
+        assert smith_normal_form(RATIONALS, A).rank == M.rank()
