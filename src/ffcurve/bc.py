@@ -18,6 +18,7 @@ from .sheaves import (
     ShortExactSequence,
     T,
     TiltedObject,
+    _plain,
     direct_sum,
     ext1,
     ext2,
@@ -26,15 +27,12 @@ from .sheaves import (
     se2,
     se3,
 )
-from .tilting import tilt
+from .slopes import Slope
+from .tilting import _as_heart
 
 Atom = Tuple[str, object]
 
 _ZERO = CoherentSheaf.zero()
-
-
-def _as_heart(x) -> TiltedObject:
-    return x if isinstance(x, TiltedObject) else tilt(x)
 
 
 def _atom_invariant(atom: Atom) -> BCInvariant:
@@ -59,7 +57,7 @@ def _atom_str(atom: Atom) -> str:
         body = "Ga[%s]" % ",".join(str(k) for k in fs)
         return body if label == "inf" else body + "@" + label
     d, h, m = payload
-    slope = str(O(d, h).bundle[0][0])
+    slope = str(Slope(d, h))
     body = "U(%s)" % slope if kind == "U" else "Coker(%s)" % slope
     return body if m == 1 else body + "^%d" % m
 
@@ -96,7 +94,7 @@ class BCDescriptor:
                 out.append(
                     {
                         "kind": "U" if kind == "U" else "Coker",
-                        "slope": str(O(d, h).bundle[0][0]),
+                        "slope": str(Slope(d, h)),
                         "mult": m,
                     }
                 )
@@ -153,10 +151,6 @@ def breen_tables() -> dict:
 
 
 # -------------------------------------------------------------- presentations
-
-
-def _plain(F: CoherentSheaf) -> TiltedObject:
-    return TiltedObject(_ZERO, F)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ zero object, out-of-range integers) or a certificate that fails to verify.
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .errors import CertificateError
 from .exactalg import POLY_OVER_RATIONALS
 from .parser import ParseError, parse_object, parse_poly
 from .sheaves import CoherentSheaf, TiltedObject
-from .tilting import MU_MINUS_INFINITY
+from .tilting import MU_MINUS_INFINITY, _as_heart
 
 SCHEMA = "ffcurve/1"
 
@@ -59,10 +58,6 @@ def _require_tilted(x, verb: str) -> TiltedObject:
     if not isinstance(x, TiltedObject):
         raise ValueError("%s expects a tilted object, got a coherent sheaf" % verb)
     return x
-
-
-def _as_heart(x) -> TiltedObject:
-    return x if isinstance(x, TiltedObject) else tilting.tilt(x)
 
 
 def _pair(v) -> dict:
@@ -419,36 +414,19 @@ def cmd_cocycle(args) -> None:
             degree_poly=bound if bound is not None else 6,
             degree_mahler=bound if bound is not None else 4,
         )
-        payload = {
-            "poly_kernel": {
-                "degree_bound": report["poly_kernel"]["degree_bound"],
-                "dim": report["poly_kernel"]["dim"],
-                "basis": list(report["poly_kernel"]["basis"]),
-                "is_span_of_identity": report["poly_kernel"]["is_span_of_identity"],
-            },
-            "constants": dict(report["constants"]),
-            "mahler_middle": {
-                "degree_bound": report["mahler_middle"]["degree_bound"],
-                "dims": dict(report["mahler_middle"]["dims"]),
-                "homology_dims": list(report["mahler_middle"]["homology_dims"]),
-                "exact": report["mahler_middle"]["exact"],
-            },
-            "ok": report["ok"],
-        }
+        poly, consts, mahler = (
+            report["poly_kernel"], report["constants"], report["mahler_middle"]
+        )
         lines = [
             "arity-1 kernel (degree <= %d): dim %d, basis %s"
-            % (payload["poly_kernel"]["degree_bound"],
-               payload["poly_kernel"]["dim"],
-               ", ".join(payload["poly_kernel"]["basis"])),
+            % (poly["degree_bound"], poly["dim"], ", ".join(poly["basis"])),
             "constants pull back to %s (injective: %s)"
-            % (payload["constants"]["image_of_unit"],
-               payload["constants"]["injective"]),
+            % (consts["image_of_unit"], consts["injective"]),
             "mahler middle homology (degree <= %d): %s"
-            % (payload["mahler_middle"]["degree_bound"],
-               tuple(payload["mahler_middle"]["homology_dims"])),
-            "ok: %s" % payload["ok"],
+            % (mahler["degree_bound"], mahler["homology_dims"]),
+            "ok: %s" % report["ok"],
         ]
-        _emit(args, "cocycle", lines, payload)
+        _emit(args, "cocycle", lines, report)
         return
     rep = cocycles.symmetric_2cocycle_report(args.q)
     payload = {
@@ -473,10 +451,6 @@ def cmd_cocycle(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for randomized commands (accepted everywhere)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="ffcurve",
@@ -541,8 +515,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         args.func(args)
     except ParseError as exc:

@@ -8,10 +8,15 @@ components built from generators [x1,...,xk]:
 Applying Hom(-, G') turns each bracket rule into a precomposition operator
 on functions of k variables.  Two exact-arithmetic function spaces are
 provided: polynomials over the rationals and finite combinations of
-binomial-coefficient functions C(x, k) (stable under precomposition with
-coordinate sums via C(x+y, n) = sum_j C(x, j) C(y, n-j)).  On top of the
-operators, this module computes symmetric 2-cocycle spaces by degree and
-the small kernel and exactness checks used for the Hom and Ext columns.
+binomial-coefficient functions C(x, k).  Setting one argument of degree e
+to a sum of distinct variables x_1 + ... + x_m expands in closed form, one
+term per composition (a_1, ..., a_m) of e: with the multinomial coefficient
+e!/(a_1! ... a_m!) for monomials, and with coefficient 1 for binomial
+functions by Vandermonde's identity C(x+y, n) = sum_j C(x, j) C(y, n-j).
+Arguments that share a variable (the diagonal [x, x]) are joined by the
+product of the space.  On top of the operators, this module computes
+symmetric 2-cocycle spaces by degree and the small kernel and exactness
+checks used for the Hom and Ext columns.
 """
 
 from __future__ import annotations
@@ -158,12 +163,7 @@ class _Combo:
             return type(self)(self.arity, {k: v * other for k, v in self.coeffs.items()})
         if type(other) is type(self):
             self._same_space(other)
-            out: Dict[Key, Fraction] = {}
-            for ka, ca in self.coeffs.items():
-                for kb, cb in other.coeffs.items():
-                    for key, mult in self._merge_keys(ka, kb).items():
-                        out[key] = out.get(key, Fraction(0)) + ca * cb * mult
-            return type(self)(self.arity, out)
+            return type(self)(self.arity, self._product(self.coeffs, other.coeffs))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -196,7 +196,8 @@ class _Combo:
 
     def precompose(self, assignment, out_arity: int) -> "_Combo":
         """Substitute coordinate sums: argument i becomes sum of the listed
-        output variables.  Each slot must be a non-empty tuple of indices."""
+        output variables.  Each slot must be a non-empty tuple of distinct
+        indices; different slots may share variables."""
         assignment = tuple(tuple(slot) for slot in assignment)
         if len(assignment) != self.arity:
             raise ValueError("assignment must cover %d argument slots" % self.arity)
@@ -207,45 +208,39 @@ class _Combo:
                 raise ValueError("empty argument slot")
             if any(not isinstance(j, int) or j < 0 or j >= out_arity for j in slot):
                 raise ValueError("variable index out of range")
+            if len(set(slot)) != len(slot):
+                raise ValueError("argument slot repeats a variable")
         zero = (0,) * out_arity
         out: Dict[Key, Fraction] = {}
         for key, coeff in self.coeffs.items():
-            partial: Dict[Key, Fraction] = {zero: Fraction(1)}
+            partial: Dict[Key, int] = {zero: 1}
             for slot, e in zip(assignment, key):
-                if e == 0:
-                    continue
-                block = self._slot_block(slot, e, out_arity)
-                merged: Dict[Key, Fraction] = {}
-                for ka, ca in partial.items():
-                    for kb, cb in block.items():
-                        for merged_key, mult in self._merge_keys(ka, kb).items():
-                            merged[merged_key] = (
-                                merged.get(merged_key, Fraction(0)) + ca * cb * mult
-                            )
-                partial = merged
+                if e:
+                    partial = self._product(partial, self._slot_block(slot, e, out_arity))
             for new_key, c in partial.items():
                 out[new_key] = out.get(new_key, Fraction(0)) + coeff * c
         return type(self)(out_arity, out)
 
     @classmethod
-    def _slot_block(cls, slot, e, out_arity):
-        # expansion of one argument set to the sum of the slot variables
-        zero = (0,) * out_arity
-        block: Dict[Key, Fraction] = {}
+    def _product(cls, a, b):
+        # product of two coefficient dicts, basis products expanded by _merge_keys
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                for key, mult in cls._merge_keys(ka, kb).items():
+                    out[key] = out.get(key, 0) + ca * cb * mult
+        return out
+
+    @classmethod
+    def _slot_block(cls, slot, e, out_arity) -> Dict[Key, int]:
+        # basis function of degree e on the sum of the (distinct) slot
+        # variables: one key per composition of e over the slot
+        block: Dict[Key, int] = {}
         for comp in _compositions(e, len(slot)):
-            coeff = cls._composition_coeff(e, comp)
-            partial: Dict[Key, Fraction] = {zero: Fraction(1)}
+            key = [0] * out_arity
             for var, a in zip(slot, comp):
-                if a == 0:
-                    continue
-                unit = tuple(a if j == var else 0 for j in range(out_arity))
-                merged: Dict[Key, Fraction] = {}
-                for key, c0 in partial.items():
-                    for key2, mult in cls._merge_keys(key, unit).items():
-                        merged[key2] = merged.get(key2, Fraction(0)) + c0 * mult
-                partial = merged
-            for key, c in partial.items():
-                block[key] = block.get(key, Fraction(0)) + coeff * c
+                key[var] = a
+            block[tuple(key)] = cls._composition_coeff(e, comp)
         return block
 
     # subclass hooks
@@ -501,17 +496,8 @@ def _rref(rows: List[List[Fraction]]):
     return r, pivots, red
 
 
-def _rank(rows) -> int:
-    if not rows:
-        return 0
-    return _rref(rows)[0]
-
-
 def _kernel_basis(rows, ncols) -> List[List[Fraction]]:
-    if not rows or ncols == 0:
-        rank, pivots, red = 0, [], []
-    else:
-        rank, pivots, red = _rref(rows)
+    rank, pivots, red = _rref(rows)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -522,12 +508,6 @@ def _kernel_basis(rows, ncols) -> List[List[Fraction]]:
             vec[pc] = -red[i][free]
         basis.append(vec)
     return basis
-
-
-def _transpose(columns):
-    if not columns:
-        return []
-    return [[col[i] for col in columns] for i in range(len(columns[0]))]
 
 
 def _keys_of_degree(arity: int, degree: int) -> List[Key]:
@@ -541,11 +521,18 @@ def _keys_up_to(arity: int, degree: int) -> List[Key]:
     return keys
 
 
-def _coeff_vector(funcs, key_lists) -> List[Fraction]:
-    vec: List[Fraction] = []
-    for f, keys in zip(funcs, key_lists):
-        vec.extend(f.coeffs.get(k, Fraction(0)) for k in keys)
-    return vec
+def _pullback_rows(pullback, cls, source_keys, out_keys) -> List[List[Fraction]]:
+    """Matrix of a pullback on the span of the source basis keys, as rows:
+    one column per source key, one row per key of each output component."""
+    columns = []
+    for key in source_keys:
+        images = pullback(cls.from_coeffs(len(key), {key: 1}))
+        if not isinstance(images, tuple):
+            images = (images,)
+        columns.append(
+            [f.coeffs.get(k, Fraction(0)) for f, keys in zip(images, out_keys) for k in keys]
+        )
+    return [list(row) for row in zip(*columns)]
 
 
 # ------------------------------------------------------------ cocycle spaces
@@ -557,11 +544,8 @@ def symmetric_2cocycle_report(q: int) -> dict:
         raise ValueError("degree must be a positive integer")
     source_keys = _keys_of_degree(2, q)
     out_keys = (_keys_of_degree(3, q), _keys_of_degree(2, q))
-    columns = [
-        _coeff_vector(pullback_d2(PolyFunc.from_coeffs(2, {key: 1})), out_keys)
-        for key in source_keys
-    ]
-    kernel = _kernel_basis(_transpose(columns), len(source_keys))
+    rows = _pullback_rows(pullback_d2, PolyFunc, source_keys, out_keys)
+    kernel = _kernel_basis(rows, len(source_keys))
     basis = tuple(
         PolyFunc.from_coeffs(2, dict(zip(source_keys, vec))) for vec in kernel
     )
@@ -595,11 +579,8 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
         raise ValueError("degree bounds must be at least 1")
     keys1 = _keys_up_to(1, degree_poly)
     keys2 = _keys_up_to(2, degree_poly)
-    columns = [
-        _coeff_vector((pullback_d1(PolyFunc.from_coeffs(1, {k: 1})),), (keys2,))
-        for k in keys1
-    ]
-    kernel = _kernel_basis(_transpose(columns), len(keys1))
+    rows = _pullback_rows(pullback_d1, PolyFunc, keys1, (keys2,))
+    kernel = _kernel_basis(rows, len(keys1))
     kernel_polys = [
         PolyFunc.from_coeffs(1, dict(zip(keys1, vec))) for vec in kernel
     ]
@@ -623,17 +604,10 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
     akeys = _keys_up_to(1, degree_mahler)
     bkeys = _keys_up_to(2, degree_mahler)
     ckeys = (_keys_up_to(3, degree_mahler), _keys_up_to(2, degree_mahler))
-    d1_cols = [
-        _coeff_vector((pullback_d1(MahlerFunc.from_coeffs(1, {k: 1})),), (bkeys,))
-        for k in akeys
-    ]
-    d2_cols = [
-        _coeff_vector(pullback_d2(MahlerFunc.from_coeffs(2, {k: 1})), ckeys)
-        for k in bkeys
-    ]
-    rank_d1 = _rank(_transpose(d1_cols))
+    rank_d1 = _rref(_pullback_rows(pullback_d1, MahlerFunc, akeys, (bkeys,)))[0]
     ker_d1 = len(akeys) - rank_d1
-    ker_d2 = len(_kernel_basis(_transpose(d2_cols), len(bkeys)))
+    d2_rows = _pullback_rows(pullback_d2, MahlerFunc, bkeys, ckeys)
+    ker_d2 = len(_kernel_basis(d2_rows, len(bkeys)))
     # the inclusion of scalars lands on the identity function: image dim 1
     homology = (ker_d1 - 1, ker_d2 - rank_d1)
     mahler_report = {

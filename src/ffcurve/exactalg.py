@@ -192,9 +192,6 @@ class Mat:
         i, j = ij
         return self.data[i][j]
 
-    def column(self, j) -> Tuple[Any, ...]:
-        return tuple(row[j] for row in self.data)
-
 
 def mat(dom: CoeffDomain, rows: Sequence[Sequence], cols: int = None) -> Mat:
     data = tuple(tuple(dom.convert(x) for x in row) for row in rows)
@@ -238,32 +235,6 @@ def mat_mul(dom: CoeffDomain, A: Mat, B: Mat) -> Mat:
 
 def mat_neg(A: Mat) -> Mat:
     return Mat(A.rows, A.cols, tuple(tuple(-x for x in row) for row in A.data))
-
-
-def mat_apply(dom: CoeffDomain, A: Mat, v: Sequence) -> Tuple:
-    out = []
-    for i in range(A.rows):
-        acc = dom.zero
-        for k in range(A.cols):
-            acc = acc + A.data[i][k] * v[k]
-        out.append(acc)
-    return tuple(out)
-
-
-def hstack(A: Mat, B: Mat) -> Mat:
-    if A.rows != B.rows:
-        raise ValueError("row mismatch in hstack")
-    return Mat(
-        A.rows,
-        A.cols + B.cols,
-        tuple(ra + rb for ra, rb in zip(A.data, B.data)),
-    )
-
-
-def block_diag2(dom: CoeffDomain, A: Mat, B: Mat) -> Mat:
-    top = hstack(A, zeros(dom, A.rows, B.cols))
-    bot = hstack(zeros(dom, B.rows, A.cols), B)
-    return Mat(A.rows + B.rows, A.cols + B.cols, top.data + bot.data)
 
 
 def mat_to_json(dom: CoeffDomain, A: Mat) -> dict:
@@ -431,11 +402,3 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
         Vinv=freeze(Vi, n, n),
         rank=t,
     )
-
-
-def kernel_basis(dom: CoeffDomain, A: Mat, snf: SmithForm = None) -> Mat:
-    """Columns spanning ker(A), read from the Smith form (V past the rank)."""
-    f = snf or smith_normal_form(dom, A)
-    cols = range(f.rank, A.cols)
-    data = tuple(tuple(f.V.data[i][j] for j in cols) for i in range(A.cols))
-    return Mat(A.cols, A.cols - f.rank, data)

@@ -78,12 +78,6 @@ class CoherentSheaf:
     def torsion_length(self) -> int:
         return sum(sum(fs) for _, fs in self.torsion)
 
-    def bundle_part(self) -> "CoherentSheaf":
-        return CoherentSheaf(self.bundle, ())
-
-    def torsion_part(self) -> "CoherentSheaf":
-        return CoherentSheaf((), self.torsion)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -330,20 +324,6 @@ class TiltedObject:
                 parts.append(atom + "[1]")
             return " + ".join(parts)
         return "tilted(%s; %s)" % (self.neg, self.pos)
-
-
-def as_tilted(x) -> TiltedObject:
-    """Wrap a plain sheaf in degree 0; pass tilted objects through."""
-    if isinstance(x, TiltedObject):
-        return x
-    below, above = [], []
-    for s, m in x.bundle:
-        (below if s.d < 0 else above).append((s, m))
-    if below:
-        raise ValueError(
-            "sheaf has negative slopes; tilt it explicitly to place them"
-        )
-    return TiltedObject(CoherentSheaf.zero(), x)
 
 
 # ------------------------------------------------------------------- sequences

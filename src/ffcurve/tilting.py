@@ -48,6 +48,10 @@ def tilt(F: CoherentSheaf) -> TiltedObject:
     return TiltedObject(below, above)
 
 
+def _as_heart(x) -> TiltedObject:
+    return x if isinstance(x, TiltedObject) else tilt(x)
+
+
 def double_tilt(A: TiltedObject) -> CoherentSheaf:
     """Tilt the tilted heart once more and read the result as a sheaf.
 

@@ -253,9 +253,11 @@ def test_svg_rejected_elsewhere(capsys):
     assert code == 2
 
 
-def test_seed_accepted(capsys):
-    code, _, _ = run(capsys, "breen", "--seed", "7")
-    assert code == 0
+def test_seed_rejected(capsys):
+    # no command is randomized, so there is no --seed option
+    code, _, err = run(capsys, "breen", "--seed", "7")
+    assert code == 2
+    assert "--seed" in err
 
 
 def test_missing_argument(capsys):

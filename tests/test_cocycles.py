@@ -96,6 +96,8 @@ def test_precompose_validation():
         f.precompose(((0,), ()), 2)
     with pytest.raises(ValueError):
         f.precompose(((0,), (2,)), 2)
+    with pytest.raises(ValueError):
+        f.precompose(((0, 1), (1, 1)), 2)
 
 
 def test_rendering():
@@ -153,6 +155,64 @@ def test_mahler_precompose_degree_behavior():
         assert f.precompose(tuple(blocks), out_arity).degree() == f.degree()
         diag = tuple((0,) for _ in range(arity))
         assert f.precompose(diag, 1).degree() <= f.degree()
+
+
+def _nested_precompose(f, assignment, out_arity):
+    """Precomposition by nested key merging in Fractions: every slot block is
+    built by merging unit keys one variable at a time, then merged into the
+    partial product.  The reference the closed-form slot blocks must match."""
+    zero = (0,) * out_arity
+
+    def merge(a, b):
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                for key, mult in f._merge_keys(ka, kb).items():
+                    out[key] = out.get(key, Fraction(0)) + ca * cb * mult
+        return out
+
+    def slot_block(slot, e):
+        block = {}
+        for comp in cocycles._compositions(e, len(slot)):
+            partial = {zero: Fraction(1)}
+            for var, a in zip(slot, comp):
+                if a:
+                    unit = tuple(a if j == var else 0 for j in range(out_arity))
+                    partial = merge(partial, {unit: Fraction(1)})
+            for key, c in partial.items():
+                block[key] = block.get(key, Fraction(0)) + f._composition_coeff(e, comp) * c
+        return block
+
+    out = {}
+    for key, coeff in f.coeffs.items():
+        partial = {zero: Fraction(1)}
+        for slot, e in zip(assignment, key):
+            if e:
+                partial = merge(partial, slot_block(slot, e))
+        for new_key, c in partial.items():
+            out[new_key] = out.get(new_key, Fraction(0)) + coeff * c
+    return {k: v for k, v in out.items() if v}
+
+
+def test_precompose_matches_nested_merge():
+    # random slots, which share variables across arguments, then the diagonal
+    # and two overlapping sums
+    rng = random.Random(97)
+    for make in (_random_poly, _random_mahler):
+        for _ in range(120):
+            arity = rng.randint(1, 3)
+            f = make(rng, arity, max_degree=4, n_terms=5)
+            out_arity = rng.randint(1, 4)
+            slots = tuple(
+                tuple(rng.sample(range(out_arity), rng.randint(1, out_arity)))
+                for _ in range(arity)
+            )
+            g = f.precompose(slots, out_arity)
+            assert g.coeffs == _nested_precompose(f, slots, out_arity)
+            assert all(type(v) is Fraction for v in g.coeffs.values())
+        for slots in (((0,), (0,)), ((0, 1), (1,)), ((1, 0), (0, 1))):
+            f = make(rng, 2, max_degree=4, n_terms=5)
+            assert f.precompose(slots, 2).coeffs == _nested_precompose(f, slots, 2)
 
 
 def test_random_precompose_matches_evaluation():
