@@ -211,14 +211,14 @@ def effective_presentation(x) -> PresentationCertificate:
         for j in range(2, d + 1):
             steps.append(se1(j))
 
-    def composite(a: int, mid: CoherentSheaf, right: TiltedObject, tag: str) -> None:
+    def composite(a: int, mid: CoherentSheaf, right: TiltedObject, h: int) -> None:
         nonlocal a_total
         steps.append(
             ShortExactSequence(
                 _plain(O(0, mult=a)) if a else _plain(_ZERO),
                 _plain(mid),
                 right,
-                tag,
+                "composite" if h == 1 else "composite@level%d" % h,
             ).validate()
         )
         a_total += a
@@ -230,46 +230,28 @@ def effective_presentation(x) -> PresentationCertificate:
             mid_parts.append(CoherentSheaf(((s, m),), ()))
             continue
         d, h = s.d, s.h
-        if h == 1:
-            ladder(d)
-            composite(m * (d - 1), O(1, mult=m * d), _plain(O(d, mult=m)), "composite")
-        else:
+        if h > 1:
             levels.append((str(s), h))
-            ladder(d)
-            composite(
-                m * h * (d - 1),
-                O(1, h, mult=m * d),
-                _plain(O(d, h, mult=m)),
-                "composite@level%d" % h,
-            )
+        ladder(d)
+        composite(m * h * (d - 1), O(1, h, mult=m * d), _plain(O(d, h, mult=m)), h)
     for label, fs in A.pos.torsion:
         for k in fs:
             steps.append(se2(k))
             ladder(k)
-            composite(k, O(1, mult=k), _plain(T([k], label)), "composite")
+            composite(k, O(1, mult=k), _plain(T([k], label)), 1)
     for s, m in A.neg.bundle:
         d, h = -s.d, s.h
-        if h == 1:
-            steps.append(se3(d))
-            steps.append(se2(d))
-            ladder(d)
-            composite(
-                m * (d + 1),
-                O(1, mult=m * d),
-                TiltedObject(O(-d, mult=m), _ZERO),
-                "composite",
-            )
-        else:
+        if h > 1:
             levels.append((str(s), h))
-            steps.append(se3(d))
-            steps.append(se2(d))
-            ladder(d)
-            composite(
-                m * h * (d + 1),
-                O(1, h, mult=m * d),
-                TiltedObject(O(-d, h, mult=m), _ZERO),
-                "composite@level%d" % h,
-            )
+        steps.append(se3(d))
+        steps.append(se2(d))
+        ladder(d)
+        composite(
+            m * h * (d + 1),
+            O(1, h, mult=m * d),
+            TiltedObject(O(-d, h, mult=m), _ZERO),
+            h,
+        )
 
     middle = direct_sum(*mid_parts) if mid_parts else _ZERO
     final = ShortExactSequence(

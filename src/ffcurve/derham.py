@@ -2,8 +2,8 @@
 
 Pieces are indexed by (form degree i, coefficient degree e) and kept for
 total weight w = i + e up to the truncation D; the exterior derivative
-preserves w, so every stored weight strand is a complete complex. All
-matrices have integer entries.
+preserves w, so every stored weight strand is a complete complex. The
+derivative is kept sparse, per basis form, with integer coefficients.
 
 Exactness is certified, not computed from ranks. Let E be the Euler field
 and iota its contraction; on a strand of weight w, d.iota + iota.d = w.id
@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet, List, Tuple
 from .errors import CertificateError
 
 Form = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (variable subset, exponents)
-IntMat = Tuple[Tuple[int, ...], ...]
 Vec = Dict[Form, int]  # sparse integer combination of basis forms
 
 
@@ -68,36 +67,6 @@ def _apply(op, vec: Vec, out: Vec) -> Vec:
     return out
 
 
-def _check_dd(form: Form, df: Vec) -> None:
-    if any(_apply(_d, df, {}).values()):
-        raise CertificateError("d o d is nonzero on the form %r" % (form,))
-
-
-@dataclass(frozen=True)
-class GradedDeRham:
-    """All graded pieces with i + e <= D and their differentials."""
-
-    n: int
-    D: int
-    bases: Dict[Tuple[int, int], Tuple[Form, ...]]
-    mats: Dict[Tuple[int, int], IntMat]
-
-    def dimension(self, i: int, e: int) -> int:
-        return len(self.bases.get((i, e), ()))
-
-    def basis(self, i: int, e: int) -> Tuple[Form, ...]:
-        return self.bases.get((i, e), ())
-
-    def differential(self, i: int, e: int) -> IntMat:
-        """Matrix of d on the (i, e) piece, into (i+1, e-1)."""
-        return self.mats.get((i, e), ())
-
-    def pieces(self, i: int) -> Dict[int, int]:
-        return {
-            e: len(fs) for (fi, e), fs in sorted(self.bases.items()) if fi == i
-        }
-
-
 def _check_sizes(n: int, D: int) -> None:
     if n < 1 or D < 1:
         raise ValueError("need n >= 1 and D >= 1")
@@ -111,24 +80,6 @@ def _forms(n: int, i: int, e: int) -> Tuple[Form, ...]:
     return tuple(
         (S, expo) for S in combinations(range(n), i) for expo in _monomials(n, e)
     )
-
-
-def build(n: int, D: int) -> GradedDeRham:
-    """All pieces and differentials; raises CertificateError unless d o d
-    vanishes on every basis form."""
-    _check_sizes(n, D)
-    bases = {(i, e): _forms(n, i, e) for i, e in _pieces(n, D)}
-    mats: Dict[Tuple[int, int], IntMat] = {}
-    for (i, e), forms in bases.items():
-        row_of = {f: r for r, f in enumerate(bases.get((i + 1, e - 1), ()))}
-        rows = [[0] * len(forms) for _ in row_of]
-        for col, form in enumerate(forms):
-            df = _d(form)
-            _check_dd(form, df)
-            for g, c in df.items():
-                rows[row_of[g]][col] = c
-        mats[(i, e)] = tuple(tuple(r) for r in rows)
-    return GradedDeRham(n, D, bases, mats)
 
 
 def _piece_dim(n: int, i: int, e: int) -> int:
@@ -156,11 +107,10 @@ class QpCohomology:
 
 
 def qp_cohomology(n: int, D: int) -> QpCohomology:
-    """dim Ker(d_i) per weight w, for every strand of build(n, D).
+    """dim Ker(d_i) per weight w, for every strand with i + e <= D.
 
     Every strand with w >= 1 is certified exact on each basis form (see the
-    module docstring; CertificateError otherwise). The certificate needs the
-    forms only, not the matrices of build, and the kernel of d_i on
+    module docstring; CertificateError otherwise), and the kernel of d_i on
     weight w is sum_{j<i} (-1)^(i-1-j) dim(j, w-j). Degree 0 reports just
     the constants. ``boundary`` lists the pieces (i, D) on the truncation
     frontier; they are certified like the others.
@@ -172,7 +122,8 @@ def qp_cohomology(n: int, D: int) -> QpCohomology:
             continue
         for form in _forms(n, i, e):
             df = _d(form)
-            _check_dd(form, df)
+            if any(_apply(_d, df, {}).values()):
+                raise CertificateError("d o d is nonzero on the form %r" % (form,))
             lhs = _apply(_iota, df, _apply(_d, _iota(form), {}))
             if {f: c for f, c in lhs.items() if c} != {form: w}:
                 raise CertificateError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from .polyring import Poly, poly_gcd
 

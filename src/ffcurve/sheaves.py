@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import CertificateError
 from .slopes import INFINITY, Slope, hom_slope_data, reduce

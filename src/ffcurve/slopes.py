@@ -33,6 +33,11 @@ class Slope:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Slope is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__, never through the guarded __setattr__;
+        # the infinite slope comes back as the module's one INFINITY
+        return "INFINITY" if self.h == 0 else (Slope, (self.d, self.h))
+
     @property
     def is_finite(self) -> bool:
         return self.h != 0

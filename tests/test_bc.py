@@ -138,6 +138,7 @@ def test_presentation_integer_twist():
     cert = effective_presentation(tilt(O(2)))
     assert cert.a == 1
     assert cert.middle == O(1, mult=2)
+    assert cert.levels == ()
     _check_certificate(cert, tilt(O(2)))
     assert any(s.tag == "se1" for s in cert.steps)
 
@@ -156,6 +157,7 @@ def test_presentation_shifted_uses_se3():
     cert = effective_presentation(target)
     assert cert.a == 3
     assert cert.middle == O(1, mult=2)
+    assert cert.levels == ()
     assert any(s.tag == "se3" for s in cert.steps)
     _check_certificate(cert, target)
 
@@ -165,12 +167,14 @@ def test_presentation_fractional_levels():
     cert = effective_presentation(target)
     assert cert.a == 4
     assert cert.middle == O(1, 2, mult=3)
+    assert cert.levels == (("3/2", 2),)
     assert any("level" in s.tag for s in cert.steps)
     _check_certificate(cert, target)
     neg = TiltedObject(O(-3, 2), ZERO)
     cert2 = effective_presentation(neg)
     assert cert2.a == 8
     assert cert2.middle == O(1, 2, mult=3)
+    assert cert2.levels == (("-3/2", 2),)
     _check_certificate(cert2, neg)
 
 

@@ -8,11 +8,14 @@ was written and are frozen below:
   * hn by brute-force sort over input permutations.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from ffcurve.bc import effective_presentation
 from ffcurve.sheaves import (
     BCInvariant,
     CoherentSheaf,
@@ -355,3 +358,14 @@ def test_str_forms():
     assert str(direct_sum(O(1), T([3, 1]))) == "O(1) + T(inf,[3,1])"
     assert str(TiltedObject(O(-1), O(0))) == "tilted(O(-1); O)"
     assert str(se3(2).right) == "O(-2)[1]"
+
+
+def test_pickle_and_deepcopy_round_trip():
+    F = direct_sum(O(7, 3), O(1, 2), T([3, 2], "x0"))
+    A = TiltedObject(O(-5, 2), F)
+    objs = [F, A, effective_presentation(A), INFINITY]
+    for x in objs:
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x and repr(y) == repr(x)
+    assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+    assert copy.deepcopy(INFINITY) is INFINITY

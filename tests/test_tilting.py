@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcurve.sheaves import (
     BCInvariant,
@@ -215,6 +216,27 @@ def test_ext1_tilted_matches_derived_expansion():
         A, B = random_tilted(rng), random_tilted(rng)
         expect = ext1(A.neg, B.neg) + hom(A.neg, B.pos) + ext1(A.pos, B.pos)
         assert ext1_tilted(A, B) == expect
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32))
+def test_heart_is_hereditary(seed):
+    # Hom_D(A, B[2]) reduces to Ext^1(A.neg, B.pos), which must vanish
+    rng = random.Random(seed)
+    A, B = random_tilted(rng), random_tilted(rng)
+    assert ext1(A.neg, B.pos) == (0, 0)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32))
+def test_tilted_euler_form(seed):
+    # hom - ext1 in the heart is the Euler form of the K0 classes
+    rng = random.Random(seed)
+    A, B = random_tilted(rng), random_tilted(rng)
+    assert hom_tilted(A, B).total - ext1_tilted(A, B) == (
+        A.rank * B.degree - A.degree * B.rank,
+        A.rank * B.rank,
+    )
 
 
 def test_hom_totals_agree_across_double_tilt():
