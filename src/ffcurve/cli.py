@@ -21,7 +21,7 @@ from .errors import CertificateError
 from .exactalg import POLY_OVER_RATIONALS
 from .parser import ParseError, parse_object, parse_poly
 from .sheaves import CoherentSheaf, TiltedObject
-from .tilting import MU_MINUS_INFINITY, _as_heart
+from .tilting import _as_heart
 
 SCHEMA = "ffcurve/1"
 
@@ -43,8 +43,7 @@ def _emit(args, command: str, lines, payload: dict) -> None:
 
 
 def _mu_str(mu) -> str:
-    if mu == MU_MINUS_INFINITY:
-        return "-inf"
+    # a Fraction, or MU_MINUS_INFINITY, which prints as -inf
     return str(mu)
 
 

@@ -560,10 +560,6 @@ def symmetric_2cocycle_report(q: int) -> dict:
     }
 
 
-def symmetric_2cocycle_quotient(q: int) -> int:
-    return symmetric_2cocycle_report(q)["quotient_dim"]
-
-
 def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
     """Kernel and exactness checks for the first columns of the resolution.
 

@@ -16,13 +16,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import CertificateError
 from .exactalg import (
-    DOMAINS,
     CoeffDomain,
     Mat,
     identity,
     mat_mul,
     mat_neg,
-    mat_from_json,
     mat_to_json,
     smith_normal_form,
     zeros,
@@ -83,43 +81,6 @@ def complex_to_json(C: BoundedComplex) -> dict:
         "ranks": list(C.ranks),
         "differentials": [mat_to_json(C.domain, d) for d in C.differentials],
     }
-
-
-def complex_from_json(payload: dict) -> BoundedComplex:
-    dom = DOMAINS[payload["domain"]]
-    return BoundedComplex(
-        dom,
-        int(payload["lowest"]),
-        tuple(int(r) for r in payload["ranks"]),
-        tuple(mat_from_json(dom, d) for d in payload["differentials"]),
-    )
-
-
-def pad_complex(C: BoundedComplex, lo: int, hi: int) -> BoundedComplex:
-    """Extend the support window with zero terms."""
-    if lo > C.lowest or hi < C.highest:
-        raise ValueError("padding window must contain the support")
-    ranks = tuple(C.rank_at(j) for j in range(lo, hi + 1))
-    diffs = tuple(C.differential_at(j) for j in range(lo, hi))
-    return BoundedComplex(C.domain, lo, ranks, diffs)
-
-
-def direct_sum_complexes(C: BoundedComplex, D: BoundedComplex) -> BoundedComplex:
-    if C.domain is not D.domain:
-        raise ValueError("direct sum needs a common coefficient domain")
-    lo, hi = min(C.lowest, D.lowest), max(C.highest, D.highest)
-    A, B = pad_complex(C, lo, hi), pad_complex(D, lo, hi)
-    dom = C.domain
-    ranks = tuple(a + b for a, b in zip(A.ranks, B.ranks))
-    diffs = []
-    for da, db in zip(A.differentials, B.differentials):
-        rows = []
-        for i in range(da.rows):
-            rows.append(da.data[i] + tuple(dom.zero for _ in range(db.cols)))
-        for i in range(db.rows):
-            rows.append(tuple(dom.zero for _ in range(da.cols)) + db.data[i])
-        diffs.append(Mat(da.rows + db.rows, da.cols + db.cols, tuple(rows)))
-    return BoundedComplex(dom, lo, ranks, tuple(diffs))
 
 
 # ------------------------------------------------------------------ cohomology
@@ -205,10 +166,6 @@ class ShiftProfile:
         i = min(max(j - self.lo, 0), len(self.values) - 1)
         return self.values[i]
 
-    @property
-    def is_nondecreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
-
     @staticmethod
     def constant(c: int) -> "ShiftProfile":
         return ShiftProfile(0, (c,))
@@ -218,9 +175,6 @@ class ShiftProfile:
         if lo < 0:
             raise ValueError("identity profile needs lo >= 0 to stay in N")
         return ShiftProfile(lo, tuple(range(lo, hi + 1)))
-
-
-ZERO_PROFILE = ShiftProfile.constant(0)
 
 
 def _exact_div(dom: CoeffDomain, a, b):
@@ -262,7 +216,7 @@ def _eta_terms(C: BoundedComplex, f, delta: ShiftProfile) -> List[_EtaTerm]:
             terms.append(_EtaTerm(identity(dom, n), identity(dom, n), (dom.one,) * n))
             continue
         smith = smith_normal_form(dom, C.differential_at(j))
-        fpow = dom.pow(f, c)
+        fpow = f ** c
         tvec = []
         for i in range(n):
             if i < smith.rank:
@@ -305,7 +259,7 @@ def _decalage(
         c = max(0, delta(j + 1) - delta(j))
         e = max(0, delta(j) - delta(j + 1))
         W = mat_mul(dom, C.differentials[i], terms[i].B)
-        fc, fe = dom.pow(f, c), dom.pow(f, e)
+        fc, fe = f ** c, f ** e
         data = tuple(
             tuple(_exact_div(dom, x, fc) * fe for x in row) for row in W.data
         )

@@ -48,16 +48,7 @@ class CoeffDomain:
             return not b
         return not self.divmod(b, a)[1]
 
-    def pow(self, a, n: int):
-        out = self.one
-        for _ in range(n):
-            out = out * a
-        return out
-
     def element_to_json(self, a):
-        raise NotImplementedError
-
-    def element_from_json(self, data):
         raise NotImplementedError
 
     def __repr__(self):
@@ -89,9 +80,6 @@ class _Integers(CoeffDomain):
     def element_to_json(self, a):
         return a
 
-    def element_from_json(self, data):
-        return int(data)
-
 
 class _Rationals(CoeffDomain):
     name = "RATIONALS"
@@ -121,9 +109,6 @@ class _Rationals(CoeffDomain):
 
     def element_to_json(self, a):
         return str(a)
-
-    def element_from_json(self, data):
-        return Fraction(data)
 
 
 class _PolyOverRationals(CoeffDomain):
@@ -160,15 +145,10 @@ class _PolyOverRationals(CoeffDomain):
     def element_to_json(self, a):
         return a.to_json()
 
-    def element_from_json(self, data):
-        return Poly.from_json(data)
-
 
 INTEGERS = _Integers()
 RATIONALS = _Rationals()
 POLY_OVER_RATIONALS = _PolyOverRationals()
-
-DOMAINS = {d.name: d for d in (INTEGERS, RATIONALS, POLY_OVER_RATIONALS)}
 
 
 # -------------------------------------------------------------------- matrices
@@ -243,13 +223,6 @@ def mat_to_json(dom: CoeffDomain, A: Mat) -> dict:
         "cols": A.cols,
         "data": [[dom.element_to_json(x) for x in row] for row in A.data],
     }
-
-
-def mat_from_json(dom: CoeffDomain, payload: dict) -> Mat:
-    data = tuple(
-        tuple(dom.element_from_json(x) for x in row) for row in payload["data"]
-    )
-    return Mat(payload["rows"], payload["cols"], data)
 
 
 # ---------------------------------------------------------- Smith normal form

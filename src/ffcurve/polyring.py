@@ -186,10 +186,6 @@ class Poly:
     def to_json(self) -> list:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(data) -> "Poly":
-        return Poly(tuple(Fraction(c) for c in data))
-
 
 T_VAR = Poly((0, 1))
 

@@ -10,7 +10,6 @@ level of (dimension, height) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import CertificateError
@@ -388,15 +387,3 @@ def se3(k: int) -> ShortExactSequence:
     return ShortExactSequence(
         _plain(O(0)), _plain(T([k])), _shifted(O(-k)), "se3"
     ).validate()
-
-
-def pushforward_from_level(d: int, h: int) -> CoherentSheaf:
-    """Pushforward of the degree-d line bundle from the level-h cover.
-
-    Comes out as O(d'/h')^gcd(d,h) with d/h = d'/h' reduced; rank h and
-    degree d are preserved.
-    """
-    if h < 1:
-        raise ValueError("level must be a positive integer")
-    g = gcd(abs(d), h) if d != 0 else h
-    return O(d // g if d else 0, h // g, mult=g)

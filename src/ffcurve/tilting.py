@@ -23,8 +23,39 @@ from .sheaves import (
     hom,
 )
 
-#: Sentinel for the tilted slope of slope-0 bundles; compares below every Fraction.
-MU_MINUS_INFINITY = float("-inf")
+
+class _MinusInfinity:
+    """Exact minus infinity: below every int and Fraction, equal only to itself."""
+
+    __slots__ = ()
+
+    def _vs(self, other, below, equal):
+        if other is self:
+            return equal
+        return below if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def __lt__(self, other):
+        return self._vs(other, True, False)
+
+    def __le__(self, other):
+        return self._vs(other, True, True)
+
+    def __gt__(self, other):
+        return self._vs(other, False, False)
+
+    def __ge__(self, other):
+        return self._vs(other, False, True)
+
+    def __repr__(self):
+        return "-inf"
+
+    def __reduce__(self):
+        # pickle and deepcopy hand back the module's one instance
+        return "MU_MINUS_INFINITY"
+
+
+#: The tilted slope of slope-0 bundles.
+MU_MINUS_INFINITY = _MinusInfinity()
 
 
 def split_torsion_pair(F: CoherentSheaf) -> Tuple[CoherentSheaf, CoherentSheaf]:
@@ -147,31 +178,3 @@ def hom_tilted(A: TiltedObject, B: TiltedObject) -> HomMatrix:
 def ext1_tilted(A: TiltedObject, B: TiltedObject) -> BCInvariant:
     """Ext^1 in the tilted heart, expanded over the split parts."""
     return ext1(A.neg, B.neg) + hom(A.neg, B.pos) + ext1(A.pos, B.pos)
-
-
-def cohx_hom_matrix(F: CoherentSheaf, G: CoherentSheaf) -> HomMatrix:
-    """Hom matrix in the coherent heart for the slope-sign splits of F, G."""
-    Fn, Fp = split_torsion_pair(F)
-    Gn, Gp = split_torsion_pair(G)
-    return HomMatrix(
-        (
-            (hom(Fn, Gn), BCInvariant(0, 0)),
-            (hom(Fn, Gp), hom(Fp, Gp)),
-        )
-    )
-
-
-def second_tilt_hom_matrix(A: TiltedObject, B: TiltedObject) -> HomMatrix:
-    """Hom matrix after tilting the tilted heart again at mu- = 0.
-
-    The mu- <= 0 part of a tilted object is its degree-0 part, the mu- > 0
-    part is the shifted negative bundle; all entries reduce to plain sheaf
-    homs, and the total agrees with the coherent-heart total across the
-    double tilt.
-    """
-    return HomMatrix(
-        (
-            (hom(A.pos, B.pos), hom(A.neg, B.pos)),
-            (BCInvariant(0, 0), hom(A.neg, B.neg)),
-        )
-    )

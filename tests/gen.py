@@ -9,11 +9,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ffcurve.complexes import BoundedComplex, ChainMap, direct_sum_complexes
+from ffcurve.complexes import BoundedComplex, ChainMap
 from ffcurve.exactalg import INTEGERS, POLY_OVER_RATIONALS, RATIONALS, Mat, mat_mul
 from ffcurve.polyring import Poly, T_VAR
-from ffcurve.sheaves import CoherentSheaf, O, T, direct_sum
+from ffcurve.sheaves import BCInvariant, CoherentSheaf, O, T, direct_sum, hom
 from ffcurve.slopes import Slope, reduce
+from ffcurve.tilting import HomMatrix, split_torsion_pair
+
+DOMAINS = (INTEGERS, RATIONALS, POLY_OVER_RATIONALS)
 
 
 def random_slope(rng: random.Random, dmax: int = 12, hmax: int = 12, sign: str = "any") -> Slope:
@@ -80,6 +83,37 @@ def random_tilted(rng: random.Random, dmax: int = 12, hmax: int = 12, lenmax: in
     return TiltedObject(neg, pos)
 
 
+# ------------------------------------------------------ hom matrices, oracles
+
+
+def cohx_hom_matrix(F: CoherentSheaf, G: CoherentSheaf) -> HomMatrix:
+    """Hom matrix in the coherent heart for the slope-sign splits of F, G."""
+    Fn, Fp = split_torsion_pair(F)
+    Gn, Gp = split_torsion_pair(G)
+    return HomMatrix(
+        (
+            (hom(Fn, Gn), BCInvariant(0, 0)),
+            (hom(Fn, Gp), hom(Fp, Gp)),
+        )
+    )
+
+
+def second_tilt_hom_matrix(A, B) -> HomMatrix:
+    """Hom matrix after tilting the tilted heart again at mu- = 0.
+
+    The mu- <= 0 part of a tilted object is its degree-0 part, the mu- > 0
+    part is the shifted negative bundle; all entries reduce to plain sheaf
+    homs, and the total agrees with the coherent-heart total across the
+    double tilt.
+    """
+    return HomMatrix(
+        (
+            (hom(A.pos, B.pos), hom(A.neg, B.pos)),
+            (BCInvariant(0, 0), hom(A.neg, B.neg)),
+        )
+    )
+
+
 # ------------------------------------------------------------ linear algebra
 
 
@@ -122,7 +156,43 @@ def random_unimodular(dom, rng: random.Random, n: int):
     )
 
 
+#: readers for the element encodings of mat_to_json: int, Fraction string,
+#: list of Fraction strings
+_READ_ELEMENT = {INTEGERS: int, RATIONALS: Fraction, POLY_OVER_RATIONALS: Poly}
+
+
+def mat_from_json(dom, payload: dict) -> Mat:
+    read = _READ_ELEMENT[dom]
+    data = tuple(tuple(read(x) for x in row) for row in payload["data"])
+    return Mat(payload["rows"], payload["cols"], data)
+
+
 # -------------------------------------------------------------------- complexes
+
+
+def complex_from_json(payload: dict) -> BoundedComplex:
+    (dom,) = [d for d in DOMAINS if d.name == payload["domain"]]
+    return BoundedComplex(
+        dom,
+        payload["lowest"],
+        tuple(payload["ranks"]),
+        tuple(mat_from_json(dom, m) for m in payload["differentials"]),
+    )
+
+
+def direct_sum_complexes(C: BoundedComplex, D: BoundedComplex) -> BoundedComplex:
+    """Block sum of two complexes over one domain on the same support."""
+    if (C.domain, C.lowest, len(C.ranks)) != (D.domain, D.lowest, len(D.ranks)):
+        raise ValueError("block sum needs one domain and one support")
+    zero = C.domain.zero
+    diffs = tuple(
+        Mat(a.rows + b.rows, a.cols + b.cols,
+            tuple(r + (zero,) * b.cols for r in a.data)
+            + tuple((zero,) * a.cols + r for r in b.data))
+        for a, b in zip(C.differentials, D.differentials)
+    )
+    ranks = tuple(a + b for a, b in zip(C.ranks, D.ranks))
+    return BoundedComplex(C.domain, C.lowest, ranks, diffs)
 
 
 def _torsion_scalar(dom, rng: random.Random):

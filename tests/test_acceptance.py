@@ -15,7 +15,6 @@ import pytest
 from ffcurve import bc, cli, cocycles, derham, sheaves, tilting
 from ffcurve.complexes import (
     ShiftProfile,
-    ZERO_PROFILE,
     cohomology,
     decalage,
     decalage_map,
@@ -29,7 +28,14 @@ from ffcurve.polyring import Poly, T_VAR as t
 from ffcurve.sheaves import BCInvariant, O, TiltedObject, se1, se2, se3
 from ffcurve.slopes import Slope
 
-from gen import random_qis, random_sheaf, random_slope, random_tilted
+from gen import (
+    cohx_hom_matrix,
+    random_qis,
+    random_sheaf,
+    random_slope,
+    random_tilted,
+    second_tilt_hom_matrix,
+)
 
 
 def test_criterion_01_breen_oracle():
@@ -85,8 +91,8 @@ def test_criterion_04_double_tilt_round_trip():
     for _ in range(500):
         F = random_sheaf(rng)
         G = random_sheaf(rng)
-        lhs = tilting.cohx_hom_matrix(F, G).total
-        rhs = tilting.second_tilt_hom_matrix(tilting.tilt(F), tilting.tilt(G)).total
+        lhs = cohx_hom_matrix(F, G).total
+        rhs = second_tilt_hom_matrix(tilting.tilt(F), tilting.tilt(G)).total
         assert lhs == rhs
     print("ACCEPTANCE 4: PASS (500 round trips, 500 hom-matrix totals)")
 
@@ -153,7 +159,7 @@ def test_criterion_07_koszul_decalage():
     for _ in range(6):
         n = rng.randint(1, 3)
         K = koszul(POLY, [_random_nonzero_poly(rng) for _ in range(n)])
-        assert decalage(K, t, ZERO_PROFILE) == K
+        assert decalage(K, t, ShiftProfile.constant(0)) == K
     delta = ShiftProfile.identity(0, 3)
     checked = 0
     for _ in range(80):

@@ -1,8 +1,11 @@
 """Command-line interface: dispatch, output modes, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcurve import bc, cli, derham, tilting
 from ffcurve.parser import parse_sheaf
@@ -263,3 +266,40 @@ def test_seed_rejected(capsys):
 def test_missing_argument(capsys):
     code, _, err = run(capsys, "chi")
     assert code == 2
+
+
+# the sheaf grammar's tokens and characters, and near-well-formed objects
+# with large integers, for the guard below
+_TOKENS = ["O", "T", "tilted", "inf", "x0", "(", ")", "[", "]", "[1]", "^", "+",
+           ";", ",", "/", "-", "*", " ", "0", "1", "2", "7", "12", "999999999999"]
+_CHARS = "".join(sorted(set("".join(_TOKENS) + "∞_t")))
+_INT = st.integers(-10**12, 10**12)
+_POS = st.one_of(st.integers(1, 10**12), _INT)
+_SUM = st.lists(
+    st.one_of(
+        st.builds("O({}/{})^{}".format, _INT, _POS, _POS),
+        st.builds("T(x0,[{},{}])".format, _POS, _POS),
+        st.builds("O({})[1]".format, _INT),
+    ),
+    min_size=1,
+    max_size=3,
+).map(" + ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["info", "hn", "chi", "k0", "tilt", "untilt", "hnminus", "bc"]),
+    st.one_of(
+        st.text(alphabet=_CHARS, max_size=30),
+        st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+        _SUM,
+        st.builds("tilted({}; {})".format, _SUM, _SUM),
+    ),
+)
+def test_closed_form_verbs_exit_cleanly(verb, text):
+    # capsys is function-scoped, so each example redirects its own streams
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([verb, text])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -21,7 +21,6 @@ from ffcurve.cocycles import (
     pullback_d1,
     pullback_d2,
     pullback_d3,
-    symmetric_2cocycle_quotient,
     symmetric_2cocycle_report,
 )
 
@@ -383,7 +382,6 @@ def test_symmetric_cocycle_degree_one_is_zero():
     assert rep["cocycle_dim"] == 0
     assert rep["coboundary_dim"] == 0
     assert rep["quotient_dim"] == 0
-    assert symmetric_2cocycle_quotient(1) == 0
 
 
 def test_symmetric_cocycle_quotient_through_degree_eight():
@@ -394,7 +392,6 @@ def test_symmetric_cocycle_quotient_through_degree_eight():
         assert rep["cocycle_dim"] == 1
         assert rep["coboundary_dim"] == 1
         assert rep["quotient_dim"] == 0
-        assert symmetric_2cocycle_quotient(q) == 0
         model = (x + y) ** q - x ** q - y ** q
         assert _proportional(rep["cocycle_basis"][0], model)
         three, two = pullback_d2(model)
@@ -412,7 +409,7 @@ def test_symmetric_cocycle_rejects_bad_degree():
     with pytest.raises(ValueError):
         symmetric_2cocycle_report(0)
     with pytest.raises(ValueError):
-        symmetric_2cocycle_quotient(-2)
+        symmetric_2cocycle_report(-2)
 
 
 def test_hom_column_checks_report():

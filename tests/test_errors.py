@@ -1,7 +1,8 @@
 """Mathematical checks raise CertificateError, never a bare assert.
 
-Each check gets an input corrupted through monkeypatch; the last test keeps
-`assert` out of the library, since `python -O` strips it.
+Each check gets an input corrupted through monkeypatch; the last two tests
+keep `assert` out of the library, since `python -O` strips it, and keep
+floating point out of it, since every answer is exact.
 """
 
 import ast
@@ -52,5 +53,27 @@ def test_library_has_no_assert():
         for path in files
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _is_float(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    )
+
+
+def test_library_has_no_float():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _is_float(node)
     ]
     assert found == []

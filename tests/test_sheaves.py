@@ -33,7 +33,6 @@ from ffcurve.sheaves import (
     k0_class,
     normalize,
     numeric_invariants,
-    pushforward_from_level,
     se1,
     se2,
     se3,
@@ -321,31 +320,6 @@ def test_sequence_additivity_certificates():
         rm = s.right.k0_class()
         mm = s.middle.k0_class()
         assert mm == (lm[0] + rm[0], lm[1] + rm[1])
-
-
-# ------------------------------------------------------------------ pushforward
-
-
-@pytest.mark.parametrize(
-    "d,h,expect",
-    [
-        (1, 2, O(1, 2)),
-        (2, 2, O(1, mult=2)),
-        (0, 3, O(0, mult=3)),
-        (6, 4, O(3, 2, mult=2)),
-    ],
-)
-def test_pushforward_examples(d, h, expect):
-    assert pushforward_from_level(d, h) == expect
-
-
-def test_pushforward_preserves_rank_degree():
-    rng = random.Random(31)
-    for _ in range(200):
-        d, h = rng.randint(-12, 12), rng.randint(1, 12)
-        F = pushforward_from_level(d, h)
-        r, deg, _ = numeric_invariants(F)
-        assert (r, deg) == (h, d)
 
 
 # ---------------------------------------------------------------- text output

@@ -2,10 +2,13 @@
 hom matrices in both hearts, and the double-tilt round trip.
 
 The hom-matrix totals comparison across the double tilt uses the second-tilt
-matrix (entries are plain sheaf homs of the mu-minus split); the first-tilt
-matrix total is checked against the derived-category hom expansion instead.
+matrix (entries are plain sheaf homs of the mu-minus split), built with the
+coherent-heart matrix by the oracles in gen.py; the first-tilt matrix total
+is checked against the derived-category hom expansion instead.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,18 +30,16 @@ from ffcurve.sheaves import (
 )
 from ffcurve.tilting import (
     MU_MINUS_INFINITY,
-    cohx_hom_matrix,
     double_tilt,
     ext1_tilted,
     hn_minus,
     hom_tilted,
-    second_tilt_hom_matrix,
     split_torsion_pair,
     tilt,
     tilted_invariants,
 )
 
-from gen import random_sheaf, random_tilted
+from gen import cohx_hom_matrix, random_sheaf, random_tilted, second_tilt_hom_matrix
 
 
 # ------------------------------------------------------------------- the split
@@ -97,6 +98,21 @@ def test_tilted_invariants_slope_zero_is_minus_infinity():
     degm, rgm, mum = tilted_invariants(tilt(O(0)))
     assert (degm, rgm) == (-1, 0)
     assert mum == MU_MINUS_INFINITY
+
+
+def test_minus_infinity_is_exact_and_below_every_rational():
+    inf = MU_MINUS_INFINITY
+    for x in (Fraction(-10**30, 7), Fraction(0), -10**30, 5):
+        assert inf < x and inf <= x and not inf > x and not inf >= x
+        assert x > inf and x >= inf and not x < inf and not x <= inf
+        assert inf != x and x != inf
+    assert inf <= inf and inf >= inf and not inf < inf and not inf > inf
+    assert str(inf) == repr(inf) == "-inf"
+    assert pickle.loads(pickle.dumps(inf)) is inf
+    assert copy.deepcopy(inf) is inf
+    assert copy.deepcopy(tilted_invariants(tilt(O(0))))[2] is inf
+    with pytest.raises(TypeError):
+        inf < 0.5
 
 
 def test_tilted_invariants_torsion():
