@@ -7,7 +7,8 @@ writes the HN polygon as a standalone SVG file.
 
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,
-zero object, out-of-range integers) or a certificate that fails to verify.
+zero object, out-of-range integers), a certificate that fails to verify,
+or an output file that cannot be written.
 """
 
 import argparse
@@ -204,9 +205,12 @@ def cmd_hn(args) -> None:
     lines = ["object: %s" % F, "hn pieces:"]
     lines.extend("  %-6s %s" % (r["slope"], r["object"]) for r in rows)
     lines.append("vertices: " + " ".join("(%d,%d)" % v for v in vertices))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(_svg_polygon(vertices))
+    if args.svg is not None:
+        try:
+            with open(args.svg, "w") as fh:
+                fh.write(_svg_polygon(vertices))
+        except OSError as exc:
+            raise ValueError("cannot write %r: %s" % (args.svg, exc.strerror)) from exc
         payload["svg"] = args.svg
         lines.append("wrote %s" % args.svg)
     _emit(args, "hn", lines, payload)
@@ -407,6 +411,8 @@ def cmd_cocycle(args) -> None:
         raise UsageError("pass either a degree or --report, not both")
     if not args.report and args.q is None:
         raise UsageError("cocycle needs a degree or --report")
+    if not args.report and args.trunc is not None:
+        raise UsageError("--trunc applies only with --report")
     if args.report:
         bound = args.trunc
         report = cocycles.hom_column_checks(
@@ -516,10 +522,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except UsageError as exc:
+    except (ParseError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, CertificateError) as exc:

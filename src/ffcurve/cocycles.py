@@ -603,7 +603,7 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
     rank_d1 = _rref(_pullback_rows(pullback_d1, MahlerFunc, akeys, (bkeys,)))[0]
     ker_d1 = len(akeys) - rank_d1
     d2_rows = _pullback_rows(pullback_d2, MahlerFunc, bkeys, ckeys)
-    ker_d2 = len(_kernel_basis(d2_rows, len(bkeys)))
+    ker_d2 = len(bkeys) - _rref(d2_rows)[0]
     # the inclusion of scalars lands on the identity function: image dim 1
     homology = (ker_d1 - 1, ker_d2 - rank_d1)
     mahler_report = {

@@ -107,16 +107,6 @@ def tilted_invariants(A: TiltedObject):
     return -r, d, Fraction(-r, d)
 
 
-def _atom_mu(kind: str, slope=None) -> object:
-    if kind == "shifted":
-        return Fraction(slope.h, -slope.d)
-    if kind == "torsion":
-        return Fraction(0)
-    if slope.d == 0:
-        return MU_MINUS_INFINITY
-    return Fraction(-slope.h, slope.d)
-
-
 def hn_minus(A: TiltedObject) -> List[Tuple[object, TiltedObject]]:
     """HN pieces for the tilted slope, strictly decreasing.
 
@@ -129,11 +119,13 @@ def hn_minus(A: TiltedObject) -> List[Tuple[object, TiltedObject]]:
     zero = CoherentSheaf.zero()
     pieces: List[Tuple[object, TiltedObject]] = []
     for s, m in A.neg.bundle:
-        pieces.append((_atom_mu("shifted", s), TiltedObject(CoherentSheaf(((s, m),), ()), zero)))
+        mu = Fraction(s.h, -s.d)
+        pieces.append((mu, TiltedObject(CoherentSheaf(((s, m),), ()), zero)))
     if A.pos.torsion:
         pieces.append((Fraction(0), TiltedObject(zero, CoherentSheaf((), A.pos.torsion))))
     for s, m in A.pos.bundle:
-        pieces.append((_atom_mu("plain", s), TiltedObject(zero, CoherentSheaf(((s, m),), ()))))
+        mu = MU_MINUS_INFINITY if s.d == 0 else Fraction(-s.h, s.d)
+        pieces.append((mu, TiltedObject(zero, CoherentSheaf(((s, m),), ()))))
     pieces.sort(key=lambda p: p[0], reverse=True)
     return pieces
 

@@ -83,6 +83,13 @@ def test_hn_svg(tmp_path, capsys):
     assert body.startswith("<svg") and "polyline" in body
 
 
+def test_hn_svg_unwritable_path(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "polygon.svg", tmp_path, ""):
+        code, out, err = run(capsys, "hn", "O(1)", "--svg", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "chi", "O(1")
     assert code == 2
@@ -204,6 +211,8 @@ def test_cocycle_argument_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "cocycle", "0")
     assert code == 1
+    code, out, err = run(capsys, "cocycle", "3", "--trunc", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
     for bound in ("0", "-1"):
         code, out, err = run(capsys, "cocycle", "--report", "--trunc", bound)
         assert code == 1 and out == "" and err.startswith("error:")

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffcurve import complexes
 from ffcurve.complexes import (
     BoundedComplex,
     ChainMap,
@@ -131,9 +132,26 @@ def test_known_random_complexes_all_domains():
     rng = random.Random(rng_seed)
     for dom in DOMAINS:
         rounds = 40 if dom is not POLY else 20
-        for _ in range(rounds):
-            C, expected = random_known_complex(dom, rng)
-            assert cohomology(C) == expected
+        for lo in (-2, 0, 3):
+            for _ in range(rounds):
+                C, expected = random_known_complex(dom, rng, lo)
+                assert cohomology(C) == expected
+
+
+def test_cohomology_one_smith_form_per_differential(monkeypatch):
+    # n elements give n+1 terms and n differentials, plus the zero maps
+    # into the lowest and out of the highest term
+    calls = []
+    real = complexes.smith_normal_form
+
+    def counting(dom, A):
+        calls.append((A.rows, A.cols))
+        return real(dom, A)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", counting)
+    K = koszul(POLY, (t, t + 1, t * t, t - 2))
+    assert cohomology(K) == {j: (0, ()) for j in range(5)}
+    assert len(calls) <= len(K.ranks) + 1
 
 
 # ---------------------------------------------------------------------- Koszul
