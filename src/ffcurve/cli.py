@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import bc, cocycles, derham, sheaves, tilting
 from .complexes import ShiftProfile, cohomology, complex_to_json, decalage, koszul
@@ -223,18 +224,6 @@ def _binary_verb(args, name: str, op) -> None:
     _emit(args, name, ["%s" % (v,)], _pair(v))
 
 
-def cmd_hom(args) -> None:
-    _binary_verb(args, "hom", sheaves.hom)
-
-
-def cmd_ext1(args) -> None:
-    _binary_verb(args, "ext1", sheaves.ext1)
-
-
-def cmd_ext2(args) -> None:
-    _binary_verb(args, "ext2", sheaves.ext2)
-
-
 def cmd_chi(args) -> None:
     F = _require_sheaf(parse_object(args.object), "chi")
     v = sheaves.chi(F)
@@ -376,8 +365,8 @@ def cmd_eta(args) -> None:
 
 def cmd_derham(args) -> None:
     n, D = args.n, args.trunc
+    qp = derham.qp_cohomology(n, D)  # first: its budget also bounds ga's table
     ga = derham.ga_cohomology(n, D)
-    qp = derham.qp_cohomology(n, D)
     payload = {
         "n": n,
         "trunc": D,
@@ -473,12 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("hn", cmd_hn, "HN pieces and polygon of a sheaf")
     p.add_argument("object")
     p.add_argument("--svg", metavar="FILE", help="write the polygon as SVG")
-    for name, func, help_text in (
-        ("hom", cmd_hom, "hom invariant of two sheaves"),
-        ("ext1", cmd_ext1, "ext^1 invariant of two sheaves"),
-        ("ext2", cmd_ext2, "ext^2 invariant of two sheaves"),
+    for name, op, help_text in (
+        ("hom", sheaves.hom, "hom invariant of two sheaves"),
+        ("ext1", sheaves.ext1, "ext^1 invariant of two sheaves"),
+        ("ext2", sheaves.ext2, "ext^2 invariant of two sheaves"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, partial(_binary_verb, name=name, op=op), help_text)
         p.add_argument("first")
         p.add_argument("second")
     p = add("chi", cmd_chi, "Euler characteristic (degree, rank)")

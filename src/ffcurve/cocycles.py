@@ -25,10 +25,16 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
+from .polyring import _render_terms
+
 Key = Tuple[int, ...]
 
 #: arities of the resolution components by cohomological degree
 LEVEL_ARITIES = {0: (1,), -1: (2,), -2: (3, 2), -3: (4, 3, 3, 2, 1)}
+
+#: work budgets, checked before any matrix is built; each cap costs about 0.2 s
+MAX_COCYCLE_DEGREE = 32
+MAX_COLUMN_DEGREE = 12
 
 
 def _compositions(total: int, parts: int) -> Iterable[Key]:
@@ -68,25 +74,6 @@ def _var_names(arity: int) -> Tuple[str, ...]:
     return tuple("x%d" % (i + 1) for i in range(arity))
 
 
-def _render_terms(pairs) -> str:
-    if not pairs:
-        return "0"
-    chunks = []
-    for coeff, text in pairs:
-        mag = abs(coeff)
-        if text and mag == 1:
-            body = text
-        elif text:
-            body = "%s*%s" % (mag, text)
-        else:
-            body = str(mag)
-        if not chunks:
-            chunks.append(body if coeff > 0 else "-" + body)
-        else:
-            chunks.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(chunks)
-
-
 class _Combo:
     """Finite linear combination of exponent-tuple basis keys."""
 
@@ -115,10 +102,6 @@ class _Combo:
     @classmethod
     def constant(cls, arity: int, value) -> "_Combo":
         return cls(arity, {(0,) * arity: Fraction(value)})
-
-    @classmethod
-    def from_coeffs(cls, arity: int, coeffs: Dict[Key, Fraction]) -> "_Combo":
-        return cls(arity, dict(coeffs))
 
     # -- ring-ish structure ------------------------------------------------
 
@@ -256,6 +239,17 @@ class _Combo:
     def _basis_factor(value: Fraction, e: int) -> Fraction:
         raise NotImplementedError
 
+    @staticmethod
+    def _factor(name: str, e: int) -> str:
+        raise NotImplementedError
+
+    def __str__(self):
+        names = _var_names(self.arity)
+        return _render_terms(
+            (self.coeffs[key], "*".join(self._factor(n, e) for n, e in zip(names, key) if e))
+            for key in sorted(self.coeffs, key=lambda k: (sum(k), k), reverse=True)
+        )
+
     def __repr__(self):
         return "%s(%d, %r)" % (type(self).__name__, self.arity, self.coeffs)
 
@@ -284,18 +278,9 @@ class PolyFunc(_Combo):
     def _basis_factor(value, e):
         return value ** e
 
-    def __str__(self):
-        names = _var_names(self.arity)
-        pairs = []
-        for key in sorted(self.coeffs, key=lambda k: (sum(k), k), reverse=True):
-            factors = []
-            for name, e in zip(names, key):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            pairs.append((self.coeffs[key], "*".join(factors)))
-        return _render_terms(pairs)
+    @staticmethod
+    def _factor(name, e):
+        return name if e == 1 else "%s^%d" % (name, e)
 
 
 class MahlerFunc(_Combo):
@@ -332,15 +317,9 @@ class MahlerFunc(_Combo):
     def _basis_factor(value, e):
         return _binom_value(value, e)
 
-    def __str__(self):
-        names = _var_names(self.arity)
-        pairs = []
-        for key in sorted(self.coeffs, key=lambda k: (sum(k), k), reverse=True):
-            factors = [
-                "C(%s,%d)" % (name, k) for name, k in zip(names, key) if k
-            ]
-            pairs.append((self.coeffs[key], "*".join(factors)))
-        return _render_terms(pairs)
+    @staticmethod
+    def _factor(name, e):
+        return "C(%s,%d)" % (name, e)
 
 
 # --------------------------------------------------------------- differentials
@@ -526,7 +505,7 @@ def _pullback_rows(pullback, cls, source_keys, out_keys) -> List[List[Fraction]]
     one column per source key, one row per key of each output component."""
     columns = []
     for key in source_keys:
-        images = pullback(cls.from_coeffs(len(key), {key: 1}))
+        images = pullback(cls(len(key), {key: 1}))
         if not isinstance(images, tuple):
             images = (images,)
         columns.append(
@@ -542,13 +521,14 @@ def symmetric_2cocycle_report(q: int) -> dict:
     two variables (the symmetric 2-cocycles), with the coboundary line."""
     if not isinstance(q, int) or q < 1:
         raise ValueError("degree must be a positive integer")
+    if q > MAX_COCYCLE_DEGREE:
+        raise ValueError("degree %d is over the budget MAX_COCYCLE_DEGREE = %d"
+                         % (q, MAX_COCYCLE_DEGREE))
     source_keys = _keys_of_degree(2, q)
     out_keys = (_keys_of_degree(3, q), _keys_of_degree(2, q))
     rows = _pullback_rows(pullback_d2, PolyFunc, source_keys, out_keys)
     kernel = _kernel_basis(rows, len(source_keys))
-    basis = tuple(
-        PolyFunc.from_coeffs(2, dict(zip(source_keys, vec))) for vec in kernel
-    )
+    basis = tuple(PolyFunc(2, dict(zip(source_keys, vec))) for vec in kernel)
     coboundary = pullback_d1(PolyFunc.variable(1, 0) ** q)
     cob_dim = 0 if coboundary.is_zero() else 1
     return {
@@ -573,13 +553,14 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
     if degree_poly < 1 or degree_mahler < 1:
         # both windows must contain the identity function, of degree 1
         raise ValueError("degree bounds must be at least 1")
+    if max(degree_poly, degree_mahler) > MAX_COLUMN_DEGREE:
+        raise ValueError("degree bounds (%d, %d) are over the budget MAX_COLUMN_DEGREE = %d"
+                         % (degree_poly, degree_mahler, MAX_COLUMN_DEGREE))
     keys1 = _keys_up_to(1, degree_poly)
     keys2 = _keys_up_to(2, degree_poly)
     rows = _pullback_rows(pullback_d1, PolyFunc, keys1, (keys2,))
     kernel = _kernel_basis(rows, len(keys1))
-    kernel_polys = [
-        PolyFunc.from_coeffs(1, dict(zip(keys1, vec))) for vec in kernel
-    ]
+    kernel_polys = [PolyFunc(1, dict(zip(keys1, vec))) for vec in kernel]
     identity = PolyFunc.variable(1, 0)
     span_x = len(kernel_polys) == 1 and not (
         kernel_polys[0] - kernel_polys[0].coeffs.get((1,), Fraction(0)) * identity

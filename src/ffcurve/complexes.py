@@ -15,7 +15,6 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import CertificateError
 from .exactalg import (
     CoeffDomain,
     Mat,
@@ -91,23 +90,16 @@ def cohomology(C: BoundedComplex) -> Dict[int, Tuple[int, Tuple]]:
     """Per-degree (free rank, invariant factors) of H^j = Ker d_j / Im d_{j-1}.
 
     Each differential's Smith form is read at its source and at its target.
+    Im d_{j-1} lies in Ker d_j because BoundedComplex checks d o d = 0.
     """
     dom = C.domain
     out: Dict[int, Tuple[int, Tuple]] = {}
-    d_in = C.differential_at(C.lowest - 1)
-    f_in = smith_normal_form(dom, d_in)
+    f_in = smith_normal_form(dom, C.differential_at(C.lowest - 1))
     for j in C.degrees():
-        d_out = C.differential_at(j)
-        # d o d = 0 means the image lives inside the kernel
-        dd = mat_mul(dom, d_out, d_in)
-        if any(not dom.is_zero(x) for row in dd.data for x in row):
-            raise CertificateError(
-                "image of d_%d is not inside the kernel of d_%d" % (j - 1, j)
-            )
-        f_out = smith_normal_form(dom, d_out)
+        f_out = smith_normal_form(dom, C.differential_at(j))
         factors = tuple(s for s in f_in.invariant_factors if s != dom.one)
-        out[j] = (d_out.cols - f_out.rank - f_in.rank, factors)
-        d_in, f_in = d_out, f_out
+        out[j] = (C.rank_at(j) - f_out.rank - f_in.rank, factors)
+        f_in = f_out
     return out
 
 

@@ -25,6 +25,9 @@ from .errors import CertificateError
 Form = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (variable subset, exponents)
 Vec = Dict[Form, int]  # sparse integer combination of basis forms
 
+#: work budget of qp_cohomology: basis forms certified, about 50 us each
+MAX_DERHAM_FORMS = 10_000
+
 
 def _monomials(n: int, e: int) -> List[Tuple[int, ...]]:
     out = []
@@ -86,6 +89,22 @@ def _piece_dim(n: int, i: int, e: int) -> int:
     return comb(n, i) * comb(n + e - 1, e)
 
 
+def _form_count(n: int, D: int) -> int:
+    """Basis forms of weight 1..D, or a lower bound once over MAX_DERHAM_FORMS.
+
+    The hockey stick over e leaves the Delannoy number sum_i C(n,i) C(n+D-i, n),
+    weight 0 included; piece (1, 0) holds n forms and each weight at least one.
+    """
+    if max(n, D) > MAX_DERHAM_FORMS:
+        return max(n, D)
+    count = -1
+    for i in range(min(n, D) + 1):
+        count += comb(n, i) * comb(n + D - i, n)
+        if count > MAX_DERHAM_FORMS:
+            break
+    return count
+
+
 def ga_cohomology(n: int, D: int) -> Dict[int, Dict[int, int]]:
     """Dimensions of the Omega^i graded pieces; the group cohomology is
     the whole module of forms, so no quotient is taken."""
@@ -116,6 +135,9 @@ def qp_cohomology(n: int, D: int) -> QpCohomology:
     frontier; they are certified like the others.
     """
     _check_sizes(n, D)
+    if _form_count(n, D) > MAX_DERHAM_FORMS:
+        raise ValueError("n = %d, D = %d is over the budget MAX_DERHAM_FORMS = %d"
+                         % (n, D, MAX_DERHAM_FORMS))
     for i, e in _pieces(n, D):
         w = i + e
         if w == 0:

@@ -168,10 +168,6 @@ class Mat:
         ):
             raise ValueError("matrix shape mismatch")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
 
 def mat(dom: CoeffDomain, rows: Sequence[Sequence], cols: int = None) -> Mat:
     data = tuple(tuple(dom.convert(x) for x in row) for row in rows)

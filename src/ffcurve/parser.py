@@ -207,6 +207,16 @@ class _Parser:
         except ValueError as exc:
             self.fail(str(exc), start)
 
+    def object_expr(self):
+        if self.peek()[:2] == ("name", "tilted"):
+            return self.tilted_expr()
+        return self.sum_expr(allow_shift=True)
+
+    def sheaf_expr(self) -> CoherentSheaf:
+        if self.peek()[:2] == ("name", "tilted"):
+            self.fail("expected a sheaf expression, not a tilted one")
+        return self.sum_expr(allow_shift=False)
+
     # ----------------------------------------------------------- poly side
 
     def poly_expr(self) -> Poly:
@@ -265,35 +275,25 @@ class _Parser:
         self.fail("expected a number, t, or a parenthesized expression")
 
 
-def parse_object(text: str):
-    """Parse a sheaf or tilted-heart expression to its normal form."""
+def _parse_whole(text: str, rule):
+    """Run one grammar rule over the whole text; trailing input is an error."""
     parser = _Parser(text)
-    tok = parser.peek()
-    if tok[0] == "name" and tok[1] == "tilted":
-        result = parser.tilted_expr()
-    else:
-        result = parser.sum_expr(allow_shift=True)
+    result = rule(parser)
     if not parser.at_end():
         parser.fail("unexpected trailing input")
     return result
+
+
+def parse_object(text: str):
+    """Parse a sheaf or tilted-heart expression to its normal form."""
+    return _parse_whole(text, _Parser.object_expr)
 
 
 def parse_sheaf(text: str) -> CoherentSheaf:
     """Parse a plain sheaf expression; tilted forms and shifts are rejected."""
-    parser = _Parser(text)
-    tok = parser.peek()
-    if tok[0] == "name" and tok[1] == "tilted":
-        parser.fail("expected a sheaf expression, not a tilted one")
-    result = parser.sum_expr(allow_shift=False)
-    if not parser.at_end():
-        parser.fail("unexpected trailing input")
-    return result
+    return _parse_whole(text, _Parser.sheaf_expr)
 
 
 def parse_poly(text: str) -> Poly:
     """Parse an element of Q[t]: integers, fractions, t, + - * ^ and parens."""
-    parser = _Parser(text)
-    poly = parser.poly_expr()
-    if not parser.at_end():
-        parser.fail("unexpected trailing input")
-    return poly
+    return _parse_whole(text, _Parser.poly_expr)

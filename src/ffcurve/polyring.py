@@ -18,6 +18,19 @@ def _trimmed(cs: List[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(cs)
 
 
+def _render_terms(pairs) -> str:
+    """Signed sum of nonzero (coefficient, basis text) pairs; "" is the unit."""
+    chunks = []
+    for coeff, text in pairs:
+        mag = abs(coeff)
+        body = str(mag) if not text else text if mag == 1 else "%s*%s" % (mag, text)
+        if not chunks:
+            chunks.append(body if coeff > 0 else "-" + body)
+        else:
+            chunks.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(chunks) or "0"
+
+
 class Poly:
     """Immutable element of Q[t]; coefficients stored low degree first."""
 
@@ -161,24 +174,10 @@ class Poly:
         return hash(("Poly", self.coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                head = "t" if e == 1 else "t^%d" % e
-                body = head if mag == 1 else "%s*%s" % (mag, head)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        terms = reversed(list(enumerate(self.coeffs)))
+        return _render_terms(
+            (c, "" if e == 0 else "t" if e == 1 else "t^%d" % e) for e, c in terms if c
+        )
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (self,)

@@ -315,13 +315,8 @@ class TiltedObject:
 
     def __str__(self) -> str:
         if self.pos.is_zero and not self.neg.is_zero:
-            parts = []
-            for s, m in self.neg.bundle:
-                atom = "O(%s)" % s
-                if m > 1:
-                    atom += "^%d" % m
-                parts.append(atom + "[1]")
-            return " + ".join(parts)
+            # neg holds only bundle atoms, none of them "O" (slope < 0)
+            return " + ".join(atom + "[1]" for atom in str(self.neg).split(" + "))
         return "tilted(%s; %s)" % (self.neg, self.pos)
 
 

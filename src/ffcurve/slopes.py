@@ -9,12 +9,14 @@ directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 from typing import Tuple
 
 from .errors import CertificateError
 
 
+@total_ordering
 class Slope:
     """A reduced slope d/h (h >= 1), or the distinguished infinite slope."""
 
@@ -66,21 +68,6 @@ class Slope:
         if not isinstance(other, Slope):
             return NotImplemented
         return self._key() < other._key()
-
-    def __le__(self, other):
-        if not isinstance(other, Slope):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        if not isinstance(other, Slope):
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        if not isinstance(other, Slope):
-            return NotImplemented
-        return self._key() >= other._key()
 
     def __str__(self) -> str:
         if self.h == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import List, Tuple
 
 from .sheaves import (
@@ -24,27 +25,16 @@ from .sheaves import (
 )
 
 
+@total_ordering
 class _MinusInfinity:
     """Exact minus infinity: below every int and Fraction, equal only to itself."""
 
     __slots__ = ()
 
-    def _vs(self, other, below, equal):
-        if other is self:
-            return equal
-        return below if isinstance(other, (int, Fraction)) else NotImplemented
-
     def __lt__(self, other):
-        return self._vs(other, True, False)
-
-    def __le__(self, other):
-        return self._vs(other, True, True)
-
-    def __gt__(self, other):
-        return self._vs(other, False, False)
-
-    def __ge__(self, other):
-        return self._vs(other, False, True)
+        if other is self:
+            return False
+        return True if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __repr__(self):
         return "-inf"

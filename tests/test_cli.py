@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffcurve import bc, cli, derham, tilting
+from ffcurve import bc, cli, cocycles, derham, tilting
 from ffcurve.parser import parse_sheaf
 
 
@@ -216,6 +216,23 @@ def test_cocycle_argument_errors(capsys):
     for bound in ("0", "-1"):
         code, out, err = run(capsys, "cocycle", "--report", "--trunc", bound)
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an over-budget call started its work")
+
+    monkeypatch.setattr(cocycles, "_pullback_rows", no_work)
+    monkeypatch.setattr(derham, "_forms", no_work)
+    for argv, budget in (
+        (["cocycle", "64"], "MAX_COCYCLE_DEGREE"),
+        (["cocycle", "--report", "--trunc", "13"], "MAX_COLUMN_DEGREE"),
+        (["derham", "4", "--trunc", "11"], "MAX_DERHAM_FORMS"),
+        (["derham", "1000000000"], "MAX_DERHAM_FORMS"),
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and budget in err
 
 
 def test_certificate_failure_exit_code(capsys, monkeypatch):

@@ -32,7 +32,7 @@ def _random_poly(rng, arity, max_degree=3, n_terms=4):
         if sum(expo) > max_degree:
             continue
         coeffs[expo] = coeffs.get(expo, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return PolyFunc.from_coeffs(arity, coeffs)
+    return PolyFunc(arity, coeffs)
 
 
 def _random_mahler(rng, arity, max_degree=3, n_terms=4):
@@ -42,7 +42,7 @@ def _random_mahler(rng, arity, max_degree=3, n_terms=4):
         if sum(key) > max_degree:
             continue
         coeffs[key] = coeffs.get(key, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return MahlerFunc.from_coeffs(arity, coeffs)
+    return MahlerFunc(arity, coeffs)
 
 
 def _points(rng, n, k):
@@ -427,6 +427,23 @@ def test_hom_column_checks_report():
     assert mahler["homology_dims"] == (0, 0)
     assert mahler["exact"]
     assert rep["ok"]
+
+
+def test_budgets_refuse_before_any_matrix(monkeypatch):
+    # the largest admitted degrees still answer
+    assert symmetric_2cocycle_report(cocycles.MAX_COCYCLE_DEGREE)["quotient_dim"] == 0
+    top = cocycles.MAX_COLUMN_DEGREE
+    assert hom_column_checks(top, top)["ok"]
+
+    def no_work(*args):
+        raise AssertionError("a matrix was built for an over-budget call")
+
+    monkeypatch.setattr(cocycles, "_pullback_rows", no_work)
+    with pytest.raises(ValueError, match="MAX_COCYCLE_DEGREE"):
+        symmetric_2cocycle_report(cocycles.MAX_COCYCLE_DEGREE + 1)
+    for a, b in ((top + 1, 1), (1, top + 1), (10**12, 10**12)):
+        with pytest.raises(ValueError, match="MAX_COLUMN_DEGREE"):
+            hom_column_checks(a, b)
 
 
 def test_hom_column_checks_rejects_empty_windows():

@@ -154,6 +154,21 @@ def test_cohomology_one_smith_form_per_differential(monkeypatch):
     assert len(calls) <= len(K.ranks) + 1
 
 
+def test_cohomology_makes_no_matrix_product(monkeypatch):
+    # the constructor has checked d o d = 0; cohomology does not multiply again
+    K = koszul(POLY, (t, t + 1, t * t, t - 2))
+    calls = []
+    real = complexes.mat_mul
+
+    def counting(dom, A, B):
+        calls.append((A.rows, A.cols, B.cols))
+        return real(dom, A, B)
+
+    monkeypatch.setattr(complexes, "mat_mul", counting)
+    assert cohomology(K) == {j: (0, ()) for j in range(5)}
+    assert calls == []
+
+
 # ---------------------------------------------------------------------- Koszul
 
 

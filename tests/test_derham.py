@@ -73,6 +73,27 @@ def test_derivative_mixed_entry():
     assert sum(1 for row in M if row[col]) == 2
 
 
+def test_form_count_matches_enumeration():
+    for n in range(1, 5):
+        for D in range(1, 9):
+            forms = sum(len(derham._forms(n, i, e)) for i, e in derham._pieces(n, D))
+            assert derham._form_count(n, D) == forms - 1  # weight 0 is not certified
+
+
+def test_form_budget_refuses_before_any_form(monkeypatch):
+    # D = 10 is the largest truncation admitted at n = 4
+    assert derham._form_count(4, 10) == 8360 <= derham.MAX_DERHAM_FORMS < derham._form_count(4, 11)
+    assert qp_cohomology(4, 10).table[4][10] == comb(9, 6)  # all of piece (4, 6)
+
+    def no_work(*args):
+        raise AssertionError("a form was enumerated for an over-budget call")
+
+    monkeypatch.setattr(derham, "_forms", no_work)
+    for n, D in ((4, 11), (10**9, 6), (1, 10**9), (10**9, 10**9)):
+        with pytest.raises(ValueError, match="MAX_DERHAM_FORMS"):
+            qp_cohomology(n, D)
+
+
 def test_qp_rejects_bad_sizes():
     with pytest.raises(ValueError):
         qp_cohomology(0, 3)

@@ -3,6 +3,10 @@
 Each check gets an input corrupted through monkeypatch; the last two tests
 keep `assert` out of the library, since `python -O` strips it, and keep
 floating point out of it, since every answer is exact.
+
+d o d = 0 is not here: the BoundedComplex constructor checks it and raises
+ValueError (test_complexes.py, test_composition_must_vanish), and cohomology
+trusts the type instead of checking it again.
 """
 
 import ast
@@ -10,22 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from ffcurve import complexes, sheaves, slopes
+from ffcurve import sheaves, slopes
 from ffcurve.errors import CertificateError
-from ffcurve.exactalg import INTEGERS, mat
 from ffcurve.sheaves import BCInvariant, O
 from ffcurve.slopes import Slope, hom_slope_data
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ffcurve"
-
-
-def test_cohomology_rejects_image_outside_kernel(monkeypatch):
-    # d1 d0 = 4 != 0: skip the constructor's check to reach cohomology's own
-    monkeypatch.setattr(complexes.BoundedComplex, "__post_init__", lambda self: None)
-    d = mat(INTEGERS, [[2]])
-    C = complexes.BoundedComplex(INTEGERS, 0, (1, 1, 1), (d, d))
-    with pytest.raises(CertificateError):
-        complexes.cohomology(C)
 
 
 def test_chi_rejects_riemann_roch_failure(monkeypatch):

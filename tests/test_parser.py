@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcurve.parser import ParseError, parse_object, parse_poly, parse_sheaf
 from ffcurve.polyring import Poly, T_VAR
@@ -101,6 +102,14 @@ def test_round_trip_random_objects():
         assert parse_object(str(A)) == A
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_round_trip_over_generator_seeds(seed, tilted):
+    rng = random.Random(seed)
+    x = random_tilted(rng) if tilted else random_sheaf(rng, allow_zero=True)
+    assert parse_object(str(x)) == x
+
+
 # ------------------------------------------------------------------ poly side
 
 def test_poly_parsing():
@@ -127,3 +136,10 @@ def test_poly_round_trip():
         coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
         p = Poly(coeffs)
         assert parse_poly(str(p)) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60)), max_size=8))
+def test_poly_round_trip_hypothesis(coeffs):
+    p = Poly(coeffs)
+    assert parse_poly(str(p)) == p
