@@ -365,7 +365,7 @@ def cmd_eta(args) -> None:
 
 def cmd_derham(args) -> None:
     n, D = args.n, args.trunc
-    qp = derham.qp_cohomology(n, D)  # first: its budget also bounds ga's table
+    qp = derham.qp_cohomology(n, D)
     ga = derham.ga_cohomology(n, D)
     payload = {
         "n": n,

@@ -1,11 +1,12 @@
 """Bounded complexes of free modules over a Euclidean coefficient domain.
 
-Cohomology is read off one Smith form per differential: Ker d_j is a direct
-summand, so H^j is free of rank n_j - rank d_j - rank d_{j-1} plus the
-non-unit invariant factors of d_{j-1}. The shift functor eta_{delta,f}
-re-presents the submodule terms in explicit free bases with all basis
-changes tracked, so induced differentials and induced chain maps stay over
-the domain with exact divisions only.
+Cohomology is read off one Smith elimination per differential, which builds
+no transform: Ker d_j is a direct summand, so H^j is free of rank
+n_j - rank d_j - rank d_{j-1} plus the non-unit invariant factors of d_{j-1}.
+The shift functor eta_{delta,f} re-presents the submodule terms in explicit
+free bases, replaying only V and V^-1 of each differential, so induced
+differentials and induced chain maps stay over the domain with exact
+divisions only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .exactalg import (
     mat_mul,
     mat_neg,
     mat_to_json,
-    smith_normal_form,
+    replay_cols,
+    smith_elimination,
     zeros,
 )
 
@@ -89,14 +91,14 @@ def complex_to_json(C: BoundedComplex) -> dict:
 def cohomology(C: BoundedComplex) -> Dict[int, Tuple[int, Tuple]]:
     """Per-degree (free rank, invariant factors) of H^j = Ker d_j / Im d_{j-1}.
 
-    Each differential's Smith form is read at its source and at its target.
+    Each differential's elimination is read at its source and at its target.
     Im d_{j-1} lies in Ker d_j because BoundedComplex checks d o d = 0.
     """
     dom = C.domain
     out: Dict[int, Tuple[int, Tuple]] = {}
-    f_in = smith_normal_form(dom, C.differential_at(C.lowest - 1))
+    f_in = smith_elimination(dom, C.differential_at(C.lowest - 1))
     for j in C.degrees():
-        f_out = smith_normal_form(dom, C.differential_at(j))
+        f_out = smith_elimination(dom, C.differential_at(j))
         factors = tuple(s for s in f_in.invariant_factors if s != dom.one)
         out[j] = (C.rank_at(j) - f_out.rank - f_in.rank, factors)
         f_in = f_out
@@ -208,7 +210,8 @@ def _eta_terms(C: BoundedComplex, f, delta: ShiftProfile) -> List[_EtaTerm]:
         if c == 0:
             terms.append(_EtaTerm(identity(dom, n), identity(dom, n), (dom.one,) * n))
             continue
-        smith = smith_normal_form(dom, C.differential_at(j))
+        smith = smith_elimination(dom, C.differential_at(j))
+        V, Vinv = replay_cols(dom, smith)
         fpow = f ** c
         tvec = []
         for i in range(n):
@@ -221,11 +224,11 @@ def _eta_terms(C: BoundedComplex, f, delta: ShiftProfile) -> List[_EtaTerm]:
             n,
             n,
             tuple(
-                tuple(smith.V.data[i][k] * tvec[k] for k in range(n))
+                tuple(V.data[i][k] * tvec[k] for k in range(n))
                 for i in range(n)
             ),
         )
-        terms.append(_EtaTerm(B, smith.Vinv, tuple(tvec)))
+        terms.append(_EtaTerm(B, Vinv, tuple(tvec)))
     return terms
 
 

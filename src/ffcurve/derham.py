@@ -25,7 +25,8 @@ from .errors import CertificateError
 Form = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (variable subset, exponents)
 Vec = Dict[Form, int]  # sparse integer combination of basis forms
 
-#: work budget of qp_cohomology: basis forms certified, about 50 us each
+#: work budget of qp_cohomology and ga_cohomology: basis forms of weight
+#: 1..D, each certified by qp_cohomology in about 50 us
 MAX_DERHAM_FORMS = 10_000
 
 
@@ -70,11 +71,6 @@ def _apply(op, vec: Vec, out: Vec) -> Vec:
     return out
 
 
-def _check_sizes(n: int, D: int) -> None:
-    if n < 1 or D < 1:
-        raise ValueError("need n >= 1 and D >= 1")
-
-
 def _pieces(n: int, D: int) -> List[Tuple[int, int]]:
     return [(i, e) for i in range(0, n + 1) for e in range(0, D - i + 1)]
 
@@ -103,6 +99,14 @@ def _form_count(n: int, D: int) -> int:
         if count > MAX_DERHAM_FORMS:
             break
     return count
+
+
+def _check_sizes(n: int, D: int) -> None:
+    if n < 1 or D < 1:
+        raise ValueError("need n >= 1 and D >= 1")
+    if _form_count(n, D) > MAX_DERHAM_FORMS:
+        raise ValueError("n = %d, D = %d is over the budget MAX_DERHAM_FORMS = %d"
+                         % (n, D, MAX_DERHAM_FORMS))
 
 
 def ga_cohomology(n: int, D: int) -> Dict[int, Dict[int, int]]:
@@ -135,9 +139,6 @@ def qp_cohomology(n: int, D: int) -> QpCohomology:
     frontier; they are certified like the others.
     """
     _check_sizes(n, D)
-    if _form_count(n, D) > MAX_DERHAM_FORMS:
-        raise ValueError("n = %d, D = %d is over the budget MAX_DERHAM_FORMS = %d"
-                         % (n, D, MAX_DERHAM_FORMS))
     for i, e in _pieces(n, D):
         w = i + e
         if w == 0:

@@ -1,9 +1,10 @@
 """Exact linear algebra over three Euclidean coefficient domains.
 
 Elements are plain ints (INTEGERS), Fractions (RATIONALS) or Poly values
-(POLY_OVER_RATIONALS). Smith normal form is computed with all four
-transform matrices tracked, S = U A V with recorded inverses, so kernels,
-images and saturations can be read off in explicit bases.
+(POLY_OVER_RATIONALS). Smith normal form S = U A V is one elimination on S
+that logs its row and column operations; replaying a log builds U or V and
+its inverse. smith_normal_form replays both; a caller that reads only the
+rank and the diagonal replays none, one that needs a source basis only V.
 """
 
 from __future__ import annotations
@@ -240,59 +241,64 @@ class SmithForm:
         return tuple(self.S.data[i][i] for i in range(self.rank))
 
 
-def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
+def _row_op(M: list, kind: str, i: int, j: int, q) -> None:
+    """swap rows i and j, add q times row j to row i, or scale row i by q."""
+    if kind == "swap":
+        M[i], M[j] = M[j], M[i]
+    elif kind == "add":
+        ri = M[i]
+        for k, x in enumerate(M[j]):
+            if x:
+                ri[k] = ri[k] + q * x
+    else:
+        M[i] = [q * x if x else x for x in M[i]]
+
+
+def _col_op(M: list, kind: str, i: int, j: int, q) -> None:
+    """swap columns i and j, add q times column i to column j, or scale column i by q."""
+    if kind == "swap":
+        for r in M:
+            r[i], r[j] = r[j], r[i]
+    elif kind == "add":
+        for r in M:
+            if r[i]:
+                r[j] = r[j] + q * r[i]
+    else:
+        for r in M:
+            if r[i]:
+                r[i] = r[i] * q
+
+
+@dataclass(frozen=True)
+class SmithElimination:
+    """S and its rank, with every _row_op and _col_op that took A to S, in
+    order, as (kind, i, j, q, q') with q' the inverse operation's q; no
+    transform is built."""
+
+    S: Mat
+    rank: int
+    rows: Tuple[tuple, ...]
+    cols: Tuple[tuple, ...]
+
+    invariant_factors = SmithForm.invariant_factors
+
+
+def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
+    """Smith normal form of A as S, its rank and the logs; no transform is built."""
     # Entries are tested for zero by truthiness (int, Fraction and Poly all
     # support it), and every row/column operation skips zero source entries:
     # in exact arithmetic the skipped terms are zero, so no result changes.
     m, n = A.rows, A.cols
     S = [list(row) for row in A.data]
-    U = [list(row) for row in identity(dom, m).data]
-    Ui = [list(row) for row in identity(dom, m).data]
-    V = [list(row) for row in identity(dom, n).data]
-    Vi = [list(row) for row in identity(dom, n).data]
+    rows, cols = [], []
 
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Ui:
-            r[i], r[j] = r[j], r[i]
+    def row(kind, i, j, q=None, qinv=None):
+        _row_op(S, kind, i, j, q)
+        rows.append((kind, i, j, q, qinv))
 
-    def col_swap(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    def row_add(i, j, q):
-        # row_i += q * row_j; Uinv gets the inverse column operation
-        for mtx in (S, U):
-            ri = mtx[i]
-            for k, x in enumerate(mtx[j]):
-                if x:
-                    ri[k] = ri[k] + q * x
-        for r in Ui:
-            if r[i]:
-                r[j] = r[j] - q * r[i]
-
-    def col_add(j, i, q):
-        # col_j += q * col_i; Vinv gets the inverse row operation
-        for mtx in (S, V):
-            for r in mtx:
-                if r[i]:
-                    r[j] = r[j] + q * r[i]
-        ri = Vi[i]
-        for k, x in enumerate(Vi[j]):
-            if x:
-                ri[k] = ri[k] - q * x
-
-    def row_scale(i, u):
-        uinv = dom.unit_inverse(u)
-        for mtx in (S, U):
-            mtx[i] = [u * x if x else x for x in mtx[i]]
-        for r in Ui:
-            if r[i]:
-                r[i] = r[i] * uinv
+    def col(kind, i, j, q=None, qinv=None):
+        _col_op(S, kind, i, j, q)
+        cols.append((kind, i, j, q, qinv))
 
     def pivot_position(t):
         # first entry of least norm in row-major order; 1 is the least norm
@@ -315,9 +321,9 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
             break
         bi, bj = pos
         if bi != t:
-            row_swap(t, bi)
+            row("swap", t, bi)
         if bj != t:
-            col_swap(t, bj)
+            col("swap", t, bj)
         while True:
             dirty = False
             for i in range(t + 1, m):
@@ -325,9 +331,9 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
                     continue
                 q, r = dom.divmod(S[i][t], S[t][t])
                 if q:
-                    row_add(i, t, -q)
+                    row("add", i, t, -q, q)
                 if r:
-                    row_swap(t, i)
+                    row("swap", t, i)
                     dirty = True
                     break
             if dirty:
@@ -337,9 +343,9 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
                     continue
                 q, r = dom.divmod(S[t][j], S[t][t])
                 if q:
-                    col_add(j, t, -q)
+                    col("add", t, j, -q, q)
                 if r:
-                    col_swap(t, j)
+                    col("swap", t, j)
                     dirty = True
                     break
             if dirty:
@@ -356,18 +362,38 @@ def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
             )
             if stray is None:
                 break
-            row_add(t, stray, dom.one)
+            row("add", t, stray, dom.one, -dom.one)
         u = dom.canonical_unit(S[t][t])
         if u != dom.one:
-            row_scale(t, u)
+            row("scale", t, None, u, dom.unit_inverse(u))
         t += 1
 
-    freeze = lambda mtx, r, c: Mat(r, c, tuple(tuple(row) for row in mtx))
-    return SmithForm(
-        S=freeze(S, m, n),
-        U=freeze(U, m, m),
-        Uinv=freeze(Ui, m, m),
-        V=freeze(V, n, n),
-        Vinv=freeze(Vi, n, n),
-        rank=t,
-    )
+    return SmithElimination(Mat(m, n, tuple(map(tuple, S))), t, tuple(rows), tuple(cols))
+
+
+def _replay(dom: CoeffDomain, n: int, log, op, inverse_op) -> Tuple[Mat, Mat]:
+    """(P, P^-1): P takes each logged operation by op, P^-1 its inverse by inverse_op."""
+    P = [list(row) for row in identity(dom, n).data]
+    Pinv = [list(row) for row in identity(dom, n).data]
+    for kind, i, j, q, qinv in log:
+        op(P, kind, i, j, q)
+        inverse_op(Pinv, kind, i, j, qinv)
+    return tuple(Mat(n, n, tuple(map(tuple, M))) for M in (P, Pinv))
+
+
+def replay_rows(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
+    """(U, Uinv) of E: U takes the row operations, Uinv their inverses on columns."""
+    return _replay(dom, E.S.rows, E.rows, _row_op, _col_op)
+
+
+def replay_cols(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
+    """(V, Vinv) of E: V takes the column operations, Vinv their inverses on rows."""
+    return _replay(dom, E.S.cols, E.cols, _col_op, _row_op)
+
+
+def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
+    """The elimination with both transforms and their inverses replayed."""
+    E = smith_elimination(dom, A)
+    U, Uinv = replay_rows(dom, E)
+    V, Vinv = replay_cols(dom, E)
+    return SmithForm(S=E.S, U=U, Uinv=Uinv, V=V, Vinv=Vinv, rank=E.rank)

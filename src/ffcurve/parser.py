@@ -35,6 +35,19 @@ class ParseError(Exception):
 
 _SYMBOLS = set("()[]^+;,/-*")
 
+#: work budgets of parse_poly, checked before each product and power: the
+#: degree of the result, and for a power the exponent times the bit length
+#: of the base's largest numerator or denominator (about its coefficient
+#: size). Q[t] Smith forms set the values: their coefficients grow so fast
+#: that two elements at this edge already take about 1 s in cohomology.
+MAX_POLY_DEGREE = 16
+MAX_POLY_BITS = 256
+
+
+def _check_budget(what: str, value: int, name: str, cap: int) -> None:
+    if value > cap:
+        raise ValueError("%s %d is over the budget %s = %d" % (what, value, name, cap))
+
 
 def _tokenize(text: str):
     tokens = []
@@ -231,7 +244,9 @@ class _Parser:
         node = self.poly_unary()
         while self.peek()[0] == "*":
             self.advance()
-            node = node * self.poly_unary()
+            rhs = self.poly_unary()
+            _check_budget("degree", node.degree + rhs.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
+            node = node * rhs
         return node
 
     def poly_unary(self) -> Poly:
@@ -244,11 +259,14 @@ class _Parser:
         base = self.poly_base()
         if self.peek()[0] == "^":
             self.advance()
-            tok = self.peek()
-            if tok[0] == "-":
+            if self.peek()[0] == "-":
                 self.fail("exponents must be non-negative")
-            tok = self.expect("number", "an exponent")
-            return base ** int(tok[1])
+            n = int(self.expect("number", "an exponent")[1])
+            bits = max((max(abs(c.numerator), c.denominator).bit_length()
+                        for c in base.coeffs), default=0)
+            _check_budget("degree", n * base.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
+            _check_budget("coefficient bits", n * bits, "MAX_POLY_BITS", MAX_POLY_BITS)
+            return base ** n
         return base
 
     def poly_base(self) -> Poly:
@@ -295,5 +313,7 @@ def parse_sheaf(text: str) -> CoherentSheaf:
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse an element of Q[t]: integers, fractions, t, + - * ^ and parens."""
+    """Parse an element of Q[t]: integers, fractions, t, + - * ^ and parens.
+
+    A product or power over MAX_POLY_DEGREE or MAX_POLY_BITS raises ValueError."""
     return _parse_whole(text, _Parser.poly_expr)

@@ -8,6 +8,7 @@ Smith-form routines rely on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Tuple
 
 
@@ -16,6 +17,12 @@ def _trimmed(cs: List[Fraction]) -> Tuple[Fraction, ...]:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
+
+
+def _integral(cs: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
+    """Integers n_i and d with cs[i] = n_i / d, d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def _render_terms(pairs) -> str:
@@ -107,24 +114,36 @@ class Poly:
             return NotImplemented
         if self.is_zero or q.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(q.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        # convolve integer numerators over the common denominator da * db
+        (a, da), (b, db) = _integral(self.coeffs), _integral(q.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(q.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly._of(out)
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+        return Poly._of([Fraction(c, da * db) for c in out])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        cs = self.coeffs
+        if len(cs) <= 1 or not any(cs[:-1]):
+            # c t^k, zero included: (c t^k)^n = c^n t^(kn)
+            if not cs:
+                return Poly() if n else Poly.const(1)
+            return Poly._of([Fraction(0)] * ((len(cs) - 1) * n) + [cs[-1] ** n])
+        out, base = Poly.const(1), self
+        while True:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def __divmod__(self, other):
         b = self._coerced(other)

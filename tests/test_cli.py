@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffcurve import bc, cli, cocycles, derham, tilting
 from ffcurve.parser import parse_sheaf
+from ffcurve.polyring import Poly
 
 
 def run(capsys, *argv):
@@ -224,7 +225,10 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cocycles, "_pullback_rows", no_work)
     monkeypatch.setattr(derham, "_forms", no_work)
+    monkeypatch.setattr(Poly, "__pow__", no_work)
     for argv, budget in (
+        (["koszul", "t", "t^1000000000000"], "MAX_POLY_DEGREE"),
+        (["cohom", "2^999999999999"], "MAX_POLY_BITS"),
         (["cocycle", "64"], "MAX_COCYCLE_DEGREE"),
         (["cocycle", "--report", "--trunc", "13"], "MAX_COLUMN_DEGREE"),
         (["derham", "4", "--trunc", "11"], "MAX_DERHAM_FORMS"),
@@ -329,3 +333,50 @@ def test_closed_form_verbs_exit_cleanly(verb, text):
         code = cli.main([verb, text])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_POLY_TOKENS = ["t", "(", ")", "^", "+", "-", "*", "/", " ", "0", "1", "2", "7", "12",
+                "16", "17", "999999999999"]
+_POWER = st.builds(
+    "({})^{}".format,
+    st.sampled_from(["t", "t + 1", "-1", "0", "2", "1/3*t - 7", "65535*t"]),
+    st.one_of(st.integers(0, 20), st.integers(0, 10**12)),
+)
+_POLY_TEXT = st.one_of(
+    st.text(alphabet="t()^+-*/ 0123456789", max_size=20),
+    st.lists(st.sampled_from(_POLY_TOKENS), max_size=10).map("".join),
+    _POWER,
+    st.builds("{}*{}".format, _POWER, _POWER),
+)
+_INT_TEXT = st.integers(-10**12, 10**12).map(str)
+
+
+def _polys_after(head, texts, dashes):
+    # a text with a leading minus must follow "--"; without it argparse exits 2
+    return head + ["--"] * dashes + texts
+
+
+# cohom and eta get at most two elements besides f: no budget bounds the
+# number of elements, and four admitted ones can take 13 s
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(_polys_after, st.just(["koszul"]),
+                  st.lists(_POLY_TEXT, min_size=1, max_size=3), st.booleans()),
+        st.builds(_polys_after, st.just(["cohom"]),
+                  st.lists(_POLY_TEXT, min_size=1, max_size=2), st.booleans()),
+        st.builds(_polys_after, st.just(["eta"]),
+                  st.lists(_POLY_TEXT, min_size=2, max_size=3), st.booleans()),
+        st.builds(lambda n, D: ["derham", n, "--trunc", D], _INT_TEXT, _INT_TEXT),
+        st.builds(lambda q: ["cocycle", q], _INT_TEXT),
+        st.builds(lambda D: ["cocycle", "--report", "--trunc", D], _INT_TEXT),
+    ),
+    st.booleans(),
+)
+def test_polynomial_and_integer_verbs_exit_cleanly(argv, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv[:1] + ["--json"] * as_json + argv[1:])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffcurve import complexes
+from ffcurve import complexes, exactalg
 from ffcurve.complexes import (
     BoundedComplex,
     ChainMap,
@@ -142,16 +142,52 @@ def test_cohomology_one_smith_form_per_differential(monkeypatch):
     # n elements give n+1 terms and n differentials, plus the zero maps
     # into the lowest and out of the highest term
     calls = []
-    real = complexes.smith_normal_form
+    real = complexes.smith_elimination
 
     def counting(dom, A):
         calls.append((A.rows, A.cols))
         return real(dom, A)
 
-    monkeypatch.setattr(complexes, "smith_normal_form", counting)
+    monkeypatch.setattr(complexes, "smith_elimination", counting)
     K = koszul(POLY, (t, t + 1, t * t, t - 2))
     assert cohomology(K) == {j: (0, ()) for j in range(5)}
-    assert len(calls) <= len(K.ranks) + 1
+    assert 0 < len(calls) <= len(K.ranks) + 1
+
+
+def _refuse(name):
+    def replay(*args):
+        raise AssertionError("%s was called" % name)
+
+    return replay
+
+
+def test_cohomology_builds_no_transform(monkeypatch):
+    for name in ("replay_rows", "replay_cols"):
+        monkeypatch.setattr(exactalg, name, _refuse(name))
+    monkeypatch.setattr(complexes, "replay_cols", _refuse("replay_cols"))
+    K = koszul(POLY, (t * (t + 1), t * (t - 2), t**2))
+    assert cohomology(K)[3] == (0, (t,))
+    phi = ChainMap(K, K, tuple(identity(POLY, r) for r in K.ranks))
+    assert is_quasi_iso(phi)
+
+
+def test_eta_terms_build_no_row_transform(monkeypatch):
+    monkeypatch.setattr(exactalg, "replay_rows", _refuse("replay_rows"))
+    calls = []
+    real = complexes.replay_cols
+
+    def counting(dom, E):
+        calls.append(E.S.cols)
+        return real(dom, E)
+
+    monkeypatch.setattr(complexes, "replay_cols", counting)
+    K = koszul(POLY, (t * (t + 1), t * (t - 2), t**2))
+    delta = ShiftProfile.identity(0, K.highest)
+    E = decalage(K, t, delta)
+    assert E.ranks == K.ranks
+    phi = decalage_map(identity_chain_map(K), t, delta)
+    assert all(c == identity(POLY, r) for c, r in zip(phi.components, K.ranks))
+    assert calls and set(calls) <= set(K.ranks)
 
 
 def test_cohomology_makes_no_matrix_product(monkeypatch):
@@ -347,3 +383,40 @@ def test_decalage_map_ends_are_the_decalages():
         assert psi.target == decalage(phi.target, f, delta)
     psi = decalage_map(maps[0], t, delta)
     assert all(comp == identity(POLY, comp.rows) for comp in psi.components)
+
+
+# ------------------------------------------------------------ sympy oracle
+
+
+def test_qt_invariant_factors_against_sympy():
+    # the invariant factors cohomology reads off each differential's
+    # elimination are the nonzero ones sympy computes over QQ[t], made monic
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    x = sympy.Symbol("t")
+    ring = sympy.QQ[x]
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**e
+                   for e, c in enumerate(p.coeffs))
+
+    def monic_poly(e):
+        cs = sympy.Poly(ring.to_sympy(e), x).all_coeffs()[::-1]
+        return Poly([Fraction(int(c.p), int(c.q)) for c in cs]).monic()
+
+    rng = random.Random(61)
+    torsion = 0
+    for _ in range(12):
+        g = Poly([rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])])
+        elems = [g * Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1])
+                 for _ in range(rng.randint(2, 4))]
+        K = koszul(POLY, elems)
+        H = cohomology(K)
+        for j, d in enumerate(K.differentials):
+            M = sympy.Matrix([[to_sympy(p) for p in row] for row in d.data])
+            want = tuple(monic_poly(e) for e in invariant_factors(M, domain=ring) if e)
+            assert complexes.smith_elimination(POLY, d).invariant_factors == want
+            assert H[j + 1][1] == tuple(s for s in want if s != POLY.one)
+        torsion += len(H[len(elems)][1])
+    assert torsion > 0

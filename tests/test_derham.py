@@ -89,9 +89,11 @@ def test_form_budget_refuses_before_any_form(monkeypatch):
         raise AssertionError("a form was enumerated for an over-budget call")
 
     monkeypatch.setattr(derham, "_forms", no_work)
-    for n, D in ((4, 11), (10**9, 6), (1, 10**9), (10**9, 10**9)):
-        with pytest.raises(ValueError, match="MAX_DERHAM_FORMS"):
-            qp_cohomology(n, D)
+    monkeypatch.setattr(derham, "_piece_dim", no_work)
+    for n, D in ((4, 11), (10**9, 6), (1, 10**9), (10**9, 10**9), (10**6, 6), (1, 10**6)):
+        for table in (qp_cohomology, ga_cohomology):
+            with pytest.raises(ValueError, match="MAX_DERHAM_FORMS"):
+                table(n, D)
 
 
 def test_qp_rejects_bad_sizes():

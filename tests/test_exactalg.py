@@ -1,7 +1,7 @@
 """Polynomial ring and Smith-form properties.
 
 The Smith routine is the engine under every cohomology computation, so
-the transform bookkeeping (S = U A V with tracked inverses) is pounded
+the transforms replayed from its logs (S = U A V with inverses) are pounded
 on with randomized matrices over all three domains.
 """
 
@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcurve.exactalg import (
     INTEGERS,
@@ -52,6 +53,52 @@ def test_poly_divmod_property():
         q, r = divmod(a, b)
         assert a == q * b + r
         assert r.is_zero or r.degree < b.degree
+
+
+def _schoolbook(a, b):
+    """Product of coefficient lists, one Fraction operation at a time."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+_COEFF = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFF, max_size=7), st.lists(_COEFF, max_size=7))
+def test_poly_mul_matches_fraction_schoolbook(a, b):
+    p, q = Poly(a), Poly(b)
+    want = _schoolbook(p.coeffs, q.coeffs)
+    for got in (p * q, q * p):
+        assert got.coeffs == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+_MONOMIAL = st.builds(lambda k, c: [Fraction(0)] * k + [c], st.integers(0, 5), _COEFF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_COEFF, max_size=4), _MONOMIAL), st.integers(0, 9))
+def test_poly_pow_matches_repeated_products(a, n):
+    # square-and-multiply, and a coefficient shift for c*t^k, zero included
+    p = Poly(a)
+    want = Poly.const(1)
+    for _ in range(n):
+        want = Poly(_schoolbook(want.coeffs, p.coeffs))
+    got = p ** n
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_poly_divmod_by_zero():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffcurve import parser
 from ffcurve.parser import ParseError, parse_object, parse_poly, parse_sheaf
 from ffcurve.polyring import Poly, T_VAR
 from ffcurve.sheaves import CoherentSheaf, O, T, TiltedObject, direct_sum, normalize
@@ -128,6 +129,27 @@ def test_poly_parse_errors():
     for text in ["", "t t", "t^-1", "t^", "1/0", "2t", "(t", "t+", "*t", "t/2"]:
         with pytest.raises(ParseError):
             parse_poly(text)
+
+
+def test_poly_budgets():
+    t = T_VAR
+    top = parser.MAX_POLY_DEGREE
+    assert parse_poly("t^%d" % top) == Poly([0] * top + [1])
+    assert parse_poly("t^%d*t^%d" % (top // 2, top - top // 2)).degree == top
+    assert parse_poly("0^999999999999") == Poly()
+    assert parse_poly("2^%d" % (parser.MAX_POLY_BITS // 2)) == 2 ** (parser.MAX_POLY_BITS // 2)
+    for text, budget in (
+        ("t^%d" % (top + 1), "MAX_POLY_DEGREE"),
+        ("(t+1)^999999999999", "MAX_POLY_DEGREE"),
+        ("t^%d*t" % top, "MAX_POLY_DEGREE"),
+        ("t*(t^%d)" % top, "MAX_POLY_DEGREE"),
+        ("2^%d" % (parser.MAX_POLY_BITS // 2 + 1), "MAX_POLY_BITS"),
+        ("((2^64)^64)^64", "MAX_POLY_BITS"),
+        ("(12345678901*t + 1)^%d" % top, "MAX_POLY_BITS"),
+    ):
+        with pytest.raises(ValueError, match=budget):
+            parse_poly(text)
+    assert parse_poly("(t - 1/2)^7") == (t - Fraction(1, 2)) * (t - Fraction(1, 2)) ** 6
 
 
 def test_poly_round_trip():
