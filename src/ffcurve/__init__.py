@@ -1,68 +1,40 @@
-"""Coherent-sheaf slope algebra on the Fargues-Fontaine curve."""
+"""Coherent-sheaf slope algebra on the Fargues-Fontaine curve.
 
-from .slopes import INFINITY, Slope, hom_slope_data, reduce
-from .sheaves import (
-    BCInvariant,
-    CoherentSheaf,
-    O,
-    T,
-    TiltedObject,
-    chi,
-    direct_sum,
-    ext1,
-    ext2,
-    h0,
-    h1,
-    hn,
-    hom,
-    k0_class,
-    normalize,
-)
-from .tilting import (
-    double_tilt,
-    hn_minus,
-    hom_tilted,
-    ext1_tilted,
-    tilt,
-    tilted_invariants,
-)
-from .bc import breen_tables, dim_ht, effective_presentation, r0tau
-from .parser import ParseError, parse_object, parse_poly, parse_sheaf
+The exported names load on first access (PEP 562): ``import ffcurve`` runs
+no engine module, and ``ffcurve.chi`` imports ``ffcurve.sheaves`` and
+returns its ``chi``.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BCInvariant",
-    "CoherentSheaf",
-    "INFINITY",
-    "O",
-    "ParseError",
-    "Slope",
-    "T",
-    "TiltedObject",
-    "breen_tables",
-    "chi",
-    "dim_ht",
-    "direct_sum",
-    "double_tilt",
-    "effective_presentation",
-    "ext1",
-    "ext1_tilted",
-    "ext2",
-    "h0",
-    "h1",
-    "hn",
-    "hn_minus",
-    "hom",
-    "hom_slope_data",
-    "hom_tilted",
-    "k0_class",
-    "normalize",
-    "parse_object",
-    "parse_poly",
-    "parse_sheaf",
-    "r0tau",
-    "reduce",
-    "tilt",
-    "tilted_invariants",
-]
+# exported name -> the submodule that defines it
+_HOMES = {
+    **dict.fromkeys(("INFINITY", "Slope", "hom_slope_data", "reduce"), "slopes"),
+    **dict.fromkeys((
+        "BCInvariant", "CoherentSheaf", "O", "T", "TiltedObject", "chi", "direct_sum",
+        "ext1", "ext2", "h0", "h1", "hn", "hom", "k0_class", "normalize",
+    ), "sheaves"),
+    **dict.fromkeys((
+        "double_tilt", "hn_minus", "hom_tilted", "ext1_tilted", "tilt", "tilted_invariants",
+    ), "tilting"),
+    **dict.fromkeys(("breen_tables", "dim_ht", "effective_presentation", "r0tau"), "bc"),
+    **dict.fromkeys(("parse_object", "parse_poly", "parse_sheaf"), "parser"),
+    "ParseError": "errors",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,27 +5,28 @@ tables by default; ``--json`` switches every verb to a versioned JSON
 envelope (``schema`` field), and ``hn --svg out.svg`` additionally
 writes the HN polygon as a standalone SVG file.
 
+The module itself loads no library module but ``errors``: each verb
+imports the modules it runs, so a cold ``ffcurve <verb>`` compiles only those.
+
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,
-zero object, out-of-range integers), a certificate that fails to verify,
-or an output file that cannot be written.
+zero object, out-of-range integers, work or output over a named budget),
+a certificate that fails to verify, or an output file that cannot be written.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 
-from . import bc, cocycles, derham, sheaves, tilting
-from .complexes import ShiftProfile, cohomology, complex_to_json, decalage, koszul
-from .errors import CertificateError
-from .exactalg import POLY_OVER_RATIONALS
-from .parser import ParseError, parse_object, parse_poly
-from .sheaves import CoherentSheaf, TiltedObject
-from .tilting import _as_heart
+from .errors import CertificateError, ParseError
 
 SCHEMA = "ffcurve/1"
+
+#: largest numerator or denominator, in bits, that eta renders, below the
+#: interpreter's 4300-digit limit on printing an int: decalage coefficients
+#: grow about as the elements' bits times their degree squared
+MAX_OUTPUT_BITS = 14_000
 
 
 class UsageError(Exception):
@@ -49,13 +50,15 @@ def _mu_str(mu) -> str:
     return str(mu)
 
 
-def _require_sheaf(x, verb: str) -> CoherentSheaf:
+def _require_sheaf(x, verb: str):
+    from .sheaves import TiltedObject
     if isinstance(x, TiltedObject):
         raise ValueError("%s expects a coherent sheaf, got a tilted object" % verb)
     return x
 
 
-def _require_tilted(x, verb: str) -> TiltedObject:
+def _require_tilted(x, verb: str):
+    from .sheaves import TiltedObject
     if not isinstance(x, TiltedObject):
         raise ValueError("%s expects a tilted object, got a coherent sheaf" % verb)
     return x
@@ -101,6 +104,8 @@ def _svg_polygon(vertices) -> str:
 
 
 def cmd_info(args) -> None:
+    from .parser import parse_object
+    from .sheaves import TiltedObject
     x = parse_object(args.object)
     if isinstance(x, TiltedObject):
         _info_tilted(args, x)
@@ -108,7 +113,8 @@ def cmd_info(args) -> None:
         _info_sheaf(args, x)
 
 
-def _info_sheaf(args, F: CoherentSheaf) -> None:
+def _info_sheaf(args, F) -> None:
+    from . import bc, sheaves, tilting
     rank, degree, mu = sheaves.numeric_invariants(F)
     pieces = [] if F.is_zero else [
         {"slope": str(s), "object": str(p)} for s, p in sheaves.hn(F)
@@ -147,7 +153,9 @@ def _info_sheaf(args, F: CoherentSheaf) -> None:
     _emit(args, "info", lines, payload)
 
 
-def _info_tilted(args, A: TiltedObject) -> None:
+def _info_tilted(args, A) -> None:
+    from fractions import Fraction
+    from . import bc, tilting
     rank, degree = A.rank, A.degree
     if A.is_zero:
         slope = None
@@ -190,6 +198,8 @@ def _info_tilted(args, A: TiltedObject) -> None:
 
 
 def cmd_hn(args) -> None:
+    from . import sheaves
+    from .parser import parse_object
     F = _require_sheaf(parse_object(args.object), "hn")
     pieces = sheaves.hn(F)
     vertices = [(0, 0)]
@@ -217,39 +227,51 @@ def cmd_hn(args) -> None:
     _emit(args, "hn", lines, payload)
 
 
-def _binary_verb(args, name: str, op) -> None:
+def _binary_verb(args, name: str) -> None:
+    from . import sheaves
+    from .parser import parse_object
     F = _require_sheaf(parse_object(args.first), name)
     G = _require_sheaf(parse_object(args.second), name)
-    v = op(F, G)
+    v = getattr(sheaves, name)(F, G)
     _emit(args, name, ["%s" % (v,)], _pair(v))
 
 
 def cmd_chi(args) -> None:
+    from . import sheaves
+    from .parser import parse_object
     F = _require_sheaf(parse_object(args.object), "chi")
     v = sheaves.chi(F)
     _emit(args, "chi", ["%s" % (v,)], _pair(v))
 
 
 def cmd_k0(args) -> None:
+    from . import sheaves
+    from .parser import parse_object
     x = parse_object(args.object)
-    a, b = x.k0_class() if isinstance(x, TiltedObject) else sheaves.k0_class(x)
+    a, b = x.k0_class() if isinstance(x, sheaves.TiltedObject) else sheaves.k0_class(x)
     _emit(args, "k0", ["%d*[O] + %d*[O(1)]" % (a, b)], {"a": a, "b": b})
 
 
 def cmd_tilt(args) -> None:
+    from . import tilting
+    from .parser import parse_object
     F = _require_sheaf(parse_object(args.object), "tilt")
     A = tilting.tilt(F)
     _emit(args, "tilt", [str(A)], {"object": str(F), "tilted": str(A)})
 
 
 def cmd_untilt(args) -> None:
+    from . import tilting
+    from .parser import parse_object
     A = _require_tilted(parse_object(args.object), "untilt")
     F = tilting.double_tilt(A)
     _emit(args, "untilt", [str(F)], {"object": str(A), "sheaf": str(F)})
 
 
 def cmd_hnminus(args) -> None:
-    A = _as_heart(parse_object(args.object))
+    from . import tilting
+    from .parser import parse_object
+    A = tilting._as_heart(parse_object(args.object))
     rows = [
         {"mu": _mu_str(m), "object": str(p)} for m, p in tilting.hn_minus(A)
     ]
@@ -259,6 +281,8 @@ def cmd_hnminus(args) -> None:
 
 
 def cmd_bc(args) -> None:
+    from . import bc
+    from .parser import parse_object
     x = parse_object(args.object)
     desc = bc.r0tau(x)
     inv = desc.invariant
@@ -267,6 +291,8 @@ def cmd_bc(args) -> None:
 
 
 def cmd_present(args) -> None:
+    from . import bc
+    from .parser import parse_object
     x = parse_object(args.object)
     cert = bc.effective_presentation(x).validate()
     payload = {
@@ -288,6 +314,7 @@ def cmd_present(args) -> None:
 
 
 def cmd_breen(args) -> None:
+    from . import bc
     tables = bc.breen_tables()
     labels = list(tables["labels"])
     payload = {"labels": labels}
@@ -302,6 +329,7 @@ def cmd_breen(args) -> None:
 
 
 def _parse_elements(texts):
+    from .parser import parse_poly
     return [parse_poly(t) for t in texts]
 
 
@@ -321,6 +349,8 @@ def _cohomology_lines(H):
 
 
 def cmd_koszul(args) -> None:
+    from .complexes import complex_to_json, koszul
+    from .exactalg import POLY_OVER_RATIONALS
     elems = _parse_elements(args.elements)
     K = koszul(POLY_OVER_RATIONALS, elems)
     payload = {"elements": [str(g) for g in elems], "complex": complex_to_json(K)}
@@ -333,6 +363,8 @@ def cmd_koszul(args) -> None:
 
 
 def cmd_cohom(args) -> None:
+    from .complexes import cohomology, koszul
+    from .exactalg import POLY_OVER_RATIONALS
     elems = _parse_elements(args.elements)
     K = koszul(POLY_OVER_RATIONALS, elems)
     H = cohomology(K)
@@ -341,6 +373,9 @@ def cmd_cohom(args) -> None:
 
 
 def cmd_eta(args) -> None:
+    from .complexes import ShiftProfile, cohomology, complex_to_json, decalage, koszul
+    from .exactalg import POLY_OVER_RATIONALS
+    from .parser import parse_poly
     f = parse_poly(args.f)
     if f.is_zero:
         raise ValueError("the decalage scale must be nonzero")
@@ -349,6 +384,12 @@ def cmd_eta(args) -> None:
     delta = ShiftProfile.identity(0, K.highest)
     E = decalage(K, f, delta)
     H = cohomology(E)
+    coeffs = [c for d in E.differentials for row in d.data for x in row for c in x.coeffs]
+    coeffs += [c for _, factors in H.values() for x in factors for c in x.coeffs]
+    bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in coeffs), default=0)
+    if bits > MAX_OUTPUT_BITS:
+        raise ValueError("a %d-bit coefficient is over the budget MAX_OUTPUT_BITS = %d"
+                         % (bits, MAX_OUTPUT_BITS))
     payload = {
         "f": str(f),
         "elements": [str(g) for g in elems],
@@ -364,6 +405,7 @@ def cmd_eta(args) -> None:
 
 
 def cmd_derham(args) -> None:
+    from . import derham
     n, D = args.n, args.trunc
     qp = derham.qp_cohomology(n, D)
     ga = derham.ga_cohomology(n, D)
@@ -402,6 +444,7 @@ def cmd_cocycle(args) -> None:
         raise UsageError("cocycle needs a degree or --report")
     if not args.report and args.trunc is not None:
         raise UsageError("--trunc applies only with --report")
+    from . import cocycles
     if args.report:
         bound = args.trunc
         report = cocycles.hom_column_checks(
@@ -462,12 +505,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("hn", cmd_hn, "HN pieces and polygon of a sheaf")
     p.add_argument("object")
     p.add_argument("--svg", metavar="FILE", help="write the polygon as SVG")
-    for name, op, help_text in (
-        ("hom", sheaves.hom, "hom invariant of two sheaves"),
-        ("ext1", sheaves.ext1, "ext^1 invariant of two sheaves"),
-        ("ext2", sheaves.ext2, "ext^2 invariant of two sheaves"),
+    for name, help_text in (
+        ("hom", "hom invariant of two sheaves"),
+        ("ext1", "ext^1 invariant of two sheaves"),
+        ("ext2", "ext^2 invariant of two sheaves"),
     ):
-        p = add(name, partial(_binary_verb, name=name, op=op), help_text)
+        p = add(name, partial(_binary_verb, name=name), help_text)
         p.add_argument("first")
         p.add_argument("second")
     p = add("chi", cmd_chi, "Euler characteristic (degree, rank)")

@@ -17,20 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParseError
 from .polyring import Poly, T_VAR
 from .sheaves import CoherentSheaf, O, T, TiltedObject, direct_sum
-
-
-class ParseError(Exception):
-    """Malformed expression; position points at the offending token."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.message = message
-        self.position = position
-
-    def __str__(self) -> str:
-        return "parse error at position %d: %s" % (self.position, self.message)
 
 
 _SYMBOLS = set("()[]^+;,/-*")

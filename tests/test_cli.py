@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffcurve import bc, cli, cocycles, derham, tilting
+from ffcurve import bc, cli, cocycles, complexes, derham, tilting
 from ffcurve.parser import parse_sheaf
 from ffcurve.polyring import Poly
 
@@ -223,8 +227,19 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("an over-budget call started its work")
 
+    def assert_refused(argv, budget):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and budget in err
+
     monkeypatch.setattr(cocycles, "_pullback_rows", no_work)
     monkeypatch.setattr(derham, "_forms", no_work)
+    monkeypatch.setattr(complexes, "combinations", no_work)
+    # four admitted elements of degree 16: parsing them raises powers, and
+    # koszul refuses them before it builds its bases
+    assert_refused(["cohom", "(4294967295*t + 7)^8*(1/3*t - 7)^8",
+                    "(65535*t - 3)^8*(t + 7/5)^8", "(1/3*t - 7)^16", "(t + 1)^16"],
+                   "MAX_KOSZUL_COEFFS")
     monkeypatch.setattr(Poly, "__pow__", no_work)
     for argv, budget in (
         (["koszul", "t", "t^1000000000000"], "MAX_POLY_DEGREE"),
@@ -234,9 +249,19 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
         (["derham", "4", "--trunc", "11"], "MAX_DERHAM_FORMS"),
         (["derham", "1000000000"], "MAX_DERHAM_FORMS"),
     ):
-        code, out, err = run(capsys, *argv, "--json")
+        assert_refused(argv, budget)
+
+
+def test_eta_refuses_coefficients_it_cannot_print(capsys, monkeypatch):
+    # the real limit is reached by `eta 't - 3' '(4294967295*t + 7)^8*(1/3*t - 7)^8'
+    # '(t + 1)^16'` after seconds of work; a lowered one shows the same path
+    argv = ["eta", "t - 3", "(65535*t + 7)^2", "t + 1"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_OUTPUT_BITS", 8)
+    for as_json in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *as_json)
         assert code == 1 and out == ""
-        assert err.startswith("error:") and budget in err
+        assert err.startswith("error:") and "MAX_OUTPUT_BITS = 8" in err
 
 
 def test_certificate_failure_exit_code(capsys, monkeypatch):
@@ -356,17 +381,15 @@ def _polys_after(head, texts, dashes):
     return head + ["--"] * dashes + texts
 
 
-# cohom and eta get at most two elements besides f: no budget bounds the
-# number of elements, and four admitted ones can take 13 s
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
         st.builds(_polys_after, st.just(["koszul"]),
                   st.lists(_POLY_TEXT, min_size=1, max_size=3), st.booleans()),
         st.builds(_polys_after, st.just(["cohom"]),
-                  st.lists(_POLY_TEXT, min_size=1, max_size=2), st.booleans()),
+                  st.lists(_POLY_TEXT, min_size=1, max_size=4), st.booleans()),
         st.builds(_polys_after, st.just(["eta"]),
-                  st.lists(_POLY_TEXT, min_size=2, max_size=3), st.booleans()),
+                  st.lists(_POLY_TEXT, min_size=2, max_size=5), st.booleans()),
         st.builds(lambda n, D: ["derham", n, "--trunc", D], _INT_TEXT, _INT_TEXT),
         st.builds(lambda q: ["cocycle", q], _INT_TEXT),
         st.builds(lambda D: ["cocycle", "--report", "--trunc", D], _INT_TEXT),
@@ -380,3 +403,49 @@ def test_polynomial_and_integer_verbs_exit_cleanly(argv, as_json):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 
+
+
+# each verb in a fresh interpreter: the ffcurve modules it leaves loaded
+_LOADED = """
+import contextlib, io, sys
+from ffcurve import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("ffcurve")))
+"""
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_LEAN = {"ffcurve", "ffcurve.cli", "ffcurve.errors"}
+_ENGINES = {"ffcurve.complexes", "ffcurve.exactalg", "ffcurve.cocycles", "ffcurve.derham"}
+_VERB_ARGV = {
+    "info": ["O(1/2)"], "hn": ["O(1)"], "hom": ["O", "O(1)"], "ext1": ["O(1)", "O"],
+    "ext2": ["O(2)", "T(inf,[3])"], "chi": ["O(2/3)"], "k0": ["O(2/3)"], "tilt": ["O(-1)"],
+    "untilt": ["tilted(O(-1); O(2))"], "hnminus": ["O(1)"], "bc": ["O(1/2)"],
+    "present": ["O(3)"], "breen": [], "koszul": ["t", "t + 1"], "cohom": ["t"],
+    "eta": ["t", "t"], "derham": ["1", "--trunc", "2"], "cocycle": ["3"],
+}
+
+
+def _loaded(*argv):
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+    ).stdout.split()
+    return int(out[0]), set(out[1:])
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGV))
+def test_verb_loads_only_what_it_runs(verb):
+    code, mods = _loaded(verb, *_VERB_ARGV[verb])
+    assert code == 0 and _LEAN <= mods
+    if verb == "derham":
+        assert mods == _LEAN | {"ffcurve.derham"}
+    elif verb == "cocycle":
+        assert not mods & {"ffcurve.sheaves", "ffcurve.complexes"}
+    elif verb in ("koszul", "cohom", "eta"):
+        assert not mods & {"ffcurve.cocycles", "ffcurve.derham", "ffcurve.bc"}
+    else:
+        assert not mods & _ENGINES
+
+
+def test_usage_error_loads_no_engine():
+    assert _loaded("cocycle") == (2, _LEAN)

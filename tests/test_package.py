@@ -1,0 +1,63 @@
+"""The package namespace: lazy exports, and each module importable on its own."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ffcurve
+import ffcurve.errors
+import ffcurve.parser
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# home module -> the names ffcurve exports from it
+EXPORTS = {
+    "slopes": ["INFINITY", "Slope", "hom_slope_data", "reduce"],
+    "sheaves": ["BCInvariant", "CoherentSheaf", "O", "T", "TiltedObject", "chi",
+                "direct_sum", "ext1", "ext2", "h0", "h1", "hn", "hom", "k0_class",
+                "normalize"],
+    "tilting": ["double_tilt", "ext1_tilted", "hn_minus", "hom_tilted", "tilt",
+                "tilted_invariants"],
+    "bc": ["breen_tables", "dim_ht", "effective_presentation", "r0tau"],
+    "parser": ["ParseError", "parse_object", "parse_poly", "parse_sheaf"],
+}
+
+
+def test_all_is_unchanged():
+    assert ffcurve.__all__ == sorted(n for names in EXPORTS.values() for n in names)
+    assert ffcurve.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("home", sorted(EXPORTS))
+def test_exports_are_the_objects_of_their_home_module(home):
+    mod = importlib.import_module("ffcurve." + home)
+    for name in EXPORTS[home]:
+        assert getattr(ffcurve, name) is getattr(mod, name)
+        assert name in dir(ffcurve)
+
+
+def test_star_import_and_unknown_names():
+    ns = {}
+    exec("from ffcurve import *", ns)
+    assert ns["chi"] is ffcurve.sheaves.chi
+    assert set(ffcurve.__all__) <= set(ns)
+    with pytest.raises(AttributeError):
+        ffcurve.nope
+
+
+def test_parse_error_lives_in_errors():
+    assert ffcurve.parser.ParseError is ffcurve.errors.ParseError is ffcurve.ParseError
+
+
+@pytest.mark.parametrize("module", sorted(
+    "ffcurve" + ("" if p.stem == "__init__" else "." + p.stem)
+    for p in (SRC / "ffcurve").glob("*.py")
+))
+def test_module_imports_on_its_own(module):
+    # a fresh interpreter: no earlier import can meet a dependency or hide a cycle
+    subprocess.run([sys.executable, "-c", "import " + module], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(SRC)))
