@@ -294,7 +294,7 @@ def cmd_present(args) -> None:
     from . import bc
     from .parser import parse_object
     x = parse_object(args.object)
-    cert = bc.effective_presentation(x).validate()
+    cert = bc.effective_presentation(x)
     payload = {
         "target": str(cert.target),
         "kernel_rank": cert.a,

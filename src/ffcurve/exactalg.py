@@ -5,13 +5,20 @@ Elements are plain ints (INTEGERS), Fractions (RATIONALS) or Poly values
 that logs its row and column operations; replaying a log builds U or V and
 its inverse. smith_normal_form replays both; a caller that reads only the
 rank and the diagonal replays none, one that needs a source basis only V.
+
+Over Q the elimination and the replays run on integers: each row or column
+is a list of integer numerators over one shared denominator, reduced by
+their gcd after each operation, and Fractions are built once, at the end.
+A field needs no remainder loop: the pivot is the first nonzero entry,
+rows below it are cleared by cross-multiplication, and its row is cleared
+by logging column operations that change that row alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Any, Sequence, Tuple
 
 from .polyring import Poly, poly_gcd
@@ -285,8 +292,10 @@ class SmithElimination:
 
 def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
     """Smith normal form of A as S, its rank and the logs; no transform is built."""
-    # Entries are tested for zero by truthiness (int, Fraction and Poly all
-    # support it), and every row/column operation skips zero source entries:
+    if dom is RATIONALS:
+        return _q_elimination(A)
+    # Entries are tested for zero by truthiness (int and Poly both support
+    # it), and every row/column operation skips zero source entries:
     # in exact arithmetic the skipped terms are zero, so no result changes.
     m, n = A.rows, A.cols
     S = [list(row) for row in A.data]
@@ -383,12 +392,120 @@ def _replay(dom: CoeffDomain, n: int, log, op, inverse_op) -> Tuple[Mat, Mat]:
 
 def replay_rows(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
     """(U, Uinv) of E: U takes the row operations, Uinv their inverses on columns."""
+    if dom is RATIONALS:
+        return _q_replay(E.S.rows, E.rows, True)
     return _replay(dom, E.S.rows, E.rows, _row_op, _col_op)
 
 
 def replay_cols(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
     """(V, Vinv) of E: V takes the column operations, Vinv their inverses on rows."""
+    if dom is RATIONALS:
+        return _q_replay(E.S.cols, E.cols, False)
     return _replay(dom, E.S.cols, E.cols, _col_op, _row_op)
+
+
+# A rational vector is (numerators, denominator): a list of ints and one
+# positive int whose gcd with all of them is 1.
+
+
+def _q_vector(xs) -> tuple:
+    den = _int_lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _q_reduced(nums: list, den: int) -> tuple:
+    g = _int_gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _q_axpy(a: tuple, q: Fraction, b: tuple) -> tuple:
+    """a + q*b, over the least common denominator."""
+    (an, ad), (bn, bd) = a, b
+    d = q.denominator * bd
+    g = _int_gcd(ad, d)
+    fa, fb = d // g, q.numerator * (ad // g)
+    return _q_reduced([x * fa + y * fb for x, y in zip(an, bn)], ad // g * d)
+
+
+def _q_scaled(a: tuple, q: Fraction) -> tuple:
+    nums, den = a
+    return _q_reduced([x * q.numerator for x in nums], den * q.denominator)
+
+
+def _q_fractions(vectors) -> tuple:
+    zero = RATIONALS.zero
+    return tuple(
+        tuple(Fraction(x, den) if x else zero for x in nums) for nums, den in vectors
+    )
+
+
+def _q_elimination(A: Mat) -> SmithElimination:
+    """smith_elimination over Q: the same S, rank and logs, computed on integers."""
+    m, n = A.rows, A.cols
+    S = [_q_vector(row) for row in A.data]
+    rows, cols = [], []
+    t = 0
+    while t < min(m, n):
+        pos = next(
+            ((i, j) for i in range(t, m) for j in range(t, n) if S[i][0][j]), None
+        )
+        if pos is None:
+            break
+        bi, bj = pos
+        if bi != t:
+            S[t], S[bi] = S[bi], S[t]
+            rows.append(("swap", t, bi, None, None))
+        if bj != t:
+            for nums, _ in S[t:]:
+                nums[t], nums[bj] = nums[bj], nums[t]
+            cols.append(("swap", t, bj, None, None))
+        pn, pd = S[t]
+        p = pn[t]
+        for i in range(t + 1, m):
+            a = S[i][0][t]
+            if a:
+                q = Fraction(a * pd, S[i][1] * p)
+                rows.append(("add", i, t, -q, q))
+                S[i] = _q_axpy(S[i], -q, S[t])
+        for j in range(t + 1, n):
+            if pn[j]:
+                q = Fraction(pn[j], p)
+                cols.append(("add", t, j, -q, q))
+        if p != pd:
+            u = Fraction(pd, p)
+            rows.append(("scale", t, None, u, 1 / u))
+        S[t] = [int(j == t) for j in range(n)], 1
+        t += 1
+    return SmithElimination(Mat(m, n, _q_fractions(S)), t, tuple(rows), tuple(cols))
+
+
+def _q_replay(n: int, log, by_rows: bool) -> Tuple[Mat, Mat]:
+    """_replay over Q. P is kept as the vectors its operations act on (rows
+    for a row log, columns for a column log), P^-1 as the other kind, so that
+    each operation changes one vector on each side."""
+    P = [([int(i == k) for k in range(n)], 1) for i in range(n)]
+    Pinv = [([int(i == k) for k in range(n)], 1) for i in range(n)]
+    for kind, i, j, q, qinv in log:
+        if kind == "swap":
+            P[i], P[j] = P[j], P[i]
+            Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
+        elif kind == "scale":
+            P[i] = _q_scaled(P[i], q)
+            Pinv[i] = _q_scaled(Pinv[i], qinv)
+        else:
+            # a row operation adds q times row j to row i, a column operation
+            # q times column i to column j; the inverse adds the other way
+            dst, src = (i, j) if by_rows else (j, i)
+            P[dst] = _q_axpy(P[dst], q, P[src])
+            Pinv[src] = _q_axpy(Pinv[src], qinv, Pinv[dst])
+    P, Pinv = _q_fractions(P), _q_fractions(Pinv)
+    if by_rows:
+        Pinv = tuple(zip(*Pinv))
+    else:
+        P = tuple(zip(*P))
+    return Mat(n, n, P), Mat(n, n, Pinv)
 
 
 def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:

@@ -16,10 +16,25 @@ equal objects.  Errors carry the offending position in the input string.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .polyring import Poly, T_VAR
-from .sheaves import CoherentSheaf, O, T, TiltedObject, direct_sum
+
+if TYPE_CHECKING:
+    from .sheaves import CoherentSheaf, TiltedObject
+
+
+@cache
+def _sheaves():
+    """The sheaves module, imported by the first sheaf parse, so that
+    parse_poly loads none of it. It is kept, not looked up on each parse: if
+    ffcurve is dropped from sys.modules and imported again, this parser still
+    builds the classes that the modules imported beside it check for."""
+    from . import sheaves
+
+    return sheaves
 
 
 _SYMBOLS = set("()[]^+;,/-*")
@@ -122,6 +137,7 @@ class _Parser:
         return value
 
     def atom(self) -> CoherentSheaf:
+        sheaves = _sheaves()
         tok = self.peek()
         if tok[0] == "name" and tok[1] == "O":
             self.advance()
@@ -137,7 +153,7 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.advance()
                 mult = self.positive_int("multiplicity")
-            return O(d, h, mult=mult)
+            return sheaves.O(d, h, mult=mult)
         if tok[0] == "name" and tok[1] == "T":
             self.advance()
             self.expect("(", "'(' after T")
@@ -150,10 +166,10 @@ class _Parser:
                 factors.append(self.torsion_factor())
             self.expect("]", "']'")
             self.expect(")", "')'")
-            return T(tuple(factors), label=label)
+            return sheaves.T(tuple(factors), label=label)
         if tok[0] == "number" and tok[1] == "0":
             self.advance()
-            return CoherentSheaf.zero()
+            return sheaves.CoherentSheaf.zero()
         self.fail("expected an atom: O(...), T(...), or 0")
 
     def torsion_factor(self) -> int:
@@ -178,34 +194,36 @@ class _Parser:
         return sheaf, shifted
 
     def sum_expr(self, allow_shift: bool):
+        sheaves = _sheaves()
         start = self.peek()[2]
         items = [self.item(allow_shift)]
         while self.peek()[0] == "+":
             self.advance()
             items.append(self.item(allow_shift))
         if not any(shifted for _, shifted in items):
-            return direct_sum(*[sheaf for sheaf, _ in items])
-        neg = direct_sum(*[sheaf for sheaf, shifted in items if shifted])
-        pos = direct_sum(*[sheaf for sheaf, shifted in items if not shifted])
+            return sheaves.direct_sum(*[sheaf for sheaf, _ in items])
+        neg = sheaves.direct_sum(*[sheaf for sheaf, shifted in items if shifted])
+        pos = sheaves.direct_sum(*[sheaf for sheaf, shifted in items if not shifted])
         try:
-            return TiltedObject(neg, pos)
+            return sheaves.TiltedObject(neg, pos)
         except ValueError as exc:
             self.fail(str(exc), start)
 
     def tilted_expr(self) -> TiltedObject:
+        sheaves = _sheaves()
         start = self.peek()[2]
         self.advance()  # the "tilted" keyword
         self.expect("(", "'(' after tilted")
         neg = self.sum_expr(allow_shift=False)
-        if isinstance(neg, TiltedObject):
+        if isinstance(neg, sheaves.TiltedObject):
             self.fail("nested tilted expressions are not allowed", start)
         self.expect(";", "';' between the two parts")
         pos = self.sum_expr(allow_shift=False)
-        if isinstance(pos, TiltedObject):
+        if isinstance(pos, sheaves.TiltedObject):
             self.fail("nested tilted expressions are not allowed", start)
         self.expect(")", "')'")
         try:
-            return TiltedObject(neg, pos)
+            return sheaves.TiltedObject(neg, pos)
         except ValueError as exc:
             self.fail(str(exc), start)
 

@@ -443,6 +443,7 @@ def test_verb_loads_only_what_it_runs(verb):
         assert not mods & {"ffcurve.sheaves", "ffcurve.complexes"}
     elif verb in ("koszul", "cohom", "eta"):
         assert not mods & {"ffcurve.cocycles", "ffcurve.derham", "ffcurve.bc"}
+        assert not mods & {"ffcurve.sheaves", "ffcurve.slopes", "ffcurve.tilting"}
     else:
         assert not mods & _ENGINES
 

@@ -21,6 +21,7 @@ from ffcurve.exactalg import (
     mat,
     mat_mul,
     mat_to_json,
+    smith_elimination,
     smith_normal_form,
     zeros,
 )
@@ -416,6 +417,148 @@ def test_smith_form_matches_dense_loops():
             assert got == want, (dom, m, n, density)
             for name in ("S", "U", "Uinv", "V", "Vinv"):
                 assert _typed(getattr(got, name)) == _typed(getattr(want, name))
+
+
+# ------------------------------------------------- Q on integer numerators
+#
+# Over RATIONALS smith_elimination runs on integer numerators over one
+# denominator per row.  It must log exactly what the generic loop, copied
+# below as it runs on Fraction entries, logs over RATIONALS.
+
+
+def _generic_row_op(M, kind, i, j, q):
+    if kind == "swap":
+        M[i], M[j] = M[j], M[i]
+    elif kind == "add":
+        M[i] = [x + q * y if y else x for x, y in zip(M[i], M[j])]
+    else:
+        M[i] = [q * x if x else x for x in M[i]]
+
+
+def _generic_col_op(M, kind, i, j, q):
+    for r in M:
+        if kind == "swap":
+            r[i], r[j] = r[j], r[i]
+        elif kind == "add" and r[i]:
+            r[j] = r[j] + q * r[i]
+        elif kind == "scale" and r[i]:
+            r[i] = r[i] * q
+
+
+def _generic_smith_elimination(dom, A):
+    m, n = A.rows, A.cols
+    S = [list(row) for row in A.data]
+    rows, cols = [], []
+
+    def row(kind, i, j, q=None, qinv=None):
+        _generic_row_op(S, kind, i, j, q)
+        rows.append((kind, i, j, q, qinv))
+
+    def col(kind, i, j, q=None, qinv=None):
+        _generic_col_op(S, kind, i, j, q)
+        cols.append((kind, i, j, q, qinv))
+
+    def pivot_position(t):
+        best = None
+        for i in range(t, m):
+            for j, x in enumerate(S[i][t:], t):
+                if x:
+                    w = dom.norm(x)
+                    if w == 1:
+                        return i, j
+                    if best is None or w < best[0]:
+                        best = (w, i, j)
+        return best and best[1:]
+
+    t = 0
+    while t < min(m, n):
+        pos = pivot_position(t)
+        if pos is None:
+            break
+        bi, bj = pos
+        if bi != t:
+            row("swap", t, bi)
+        if bj != t:
+            col("swap", t, bj)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if not S[i][t]:
+                    continue
+                q, r = dom.divmod(S[i][t], S[t][t])
+                if q:
+                    row("add", i, t, -q, q)
+                if r:
+                    row("swap", t, i)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if not S[t][j]:
+                    continue
+                q, r = dom.divmod(S[t][j], S[t][t])
+                if q:
+                    col("add", t, j, -q, q)
+                if r:
+                    col("swap", t, j)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            p = S[t][t]
+            stray = next(
+                (
+                    i
+                    for i in range(t + 1, m)
+                    if any(x and not dom.divides(p, x) for x in S[i][t + 1 :])
+                ),
+                None,
+            )
+            if stray is None:
+                break
+            row("add", t, stray, dom.one, -dom.one)
+        u = dom.canonical_unit(S[t][t])
+        if u != dom.one:
+            row("scale", t, None, u, dom.unit_inverse(u))
+        t += 1
+    return Mat(m, n, tuple(map(tuple, S))), t, tuple(rows), tuple(cols)
+
+
+def _typed_log(log):
+    return tuple(tuple((type(x), x) for x in op) for op in log)
+
+
+def test_rational_elimination_matches_generic_loop():
+    rng = random.Random(67)
+    cases = [(m, n, 1.0) for m, n in _EMPTY_SHAPES + ((0, 3), (3, 0), (2, 7), (7, 2))]
+    cases += [
+        (rng.randint(1, 9), rng.randint(1, 9), rng.choice((0.1, 0.3, 0.6, 1.0)))
+        for _ in range(150)
+    ]
+    seen_fraction = seen_zero_line = False
+    for m, n, density in cases:
+        A = _sparse_mat(RATIONALS, rng, m, n, density)
+        seen_fraction |= any(x.denominator > 1 for row in A.data for x in row)
+        seen_zero_line |= any(not any(row) for row in A.data) or any(
+            not any(col) for col in zip(*A.data)
+        )
+        S, rank, rows, cols = _generic_smith_elimination(RATIONALS, A)
+        got = smith_elimination(RATIONALS, A)
+        assert _typed(got.S) == _typed(S), (m, n, density)
+        assert got.rank == rank
+        assert _typed_log(got.rows) == _typed_log(rows)
+        assert _typed_log(got.cols) == _typed_log(cols)
+    assert seen_fraction and seen_zero_line
+
+
+def test_rational_smith_form_n20_matches_dense_loops():
+    rng = random.Random(71)
+    A = _sparse_mat(RATIONALS, rng, 20, 20, 1.0)
+    got, want = smith_normal_form(RATIONALS, A), _dense_smith_normal_form(RATIONALS, A)
+    assert got.rank == want.rank == 20
+    for name in ("S", "U", "Uinv", "V", "Vinv"):
+        assert _typed(getattr(got, name)) == _typed(getattr(want, name))
 
 
 def test_divides_matches_remainder():

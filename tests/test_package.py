@@ -61,3 +61,24 @@ def test_module_imports_on_its_own(module):
     # a fresh interpreter: no earlier import can meet a dependency or hide a cycle
     subprocess.run([sys.executable, "-c", "import " + module], check=True,
                    env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+_REIMPORT = """
+import sys
+from ffcurve import bc, parser, sheaves
+parser.parse_object("O(1)")
+for name in [m for m in sys.modules if m.split(".")[0] == "ffcurve"]:
+    del sys.modules[name]
+import ffcurve.sheaves
+assert ffcurve.sheaves is not sheaves
+x = parser.parse_object("tilted(O(-1); O(1/2) + T(x,[2]))")
+assert type(x) is sheaves.TiltedObject, type(x)
+assert tuple(bc.dim_ht(x)) == (x.degree, x.rank)
+"""
+
+
+def test_parser_keeps_the_sheaves_module_it_first_bound():
+    # parser imports sheaves on its first sheaf parse; a later re-import of
+    # ffcurve must not hand the parser's callers objects of other classes
+    subprocess.run([sys.executable, "-c", _REIMPORT], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(SRC)))
