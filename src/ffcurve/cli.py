@@ -25,7 +25,9 @@ SCHEMA = "ffcurve/1"
 
 #: largest numerator or denominator, in bits, that eta renders, below the
 #: interpreter's 4300-digit limit on printing an int: decalage coefficients
-#: grow about as the elements' bits times their degree squared
+#: grow about as the elements' bits times their degree squared, and eta
+#: checks that estimate (_eta_bits_estimate) before the work and the exact
+#: bits after it
 MAX_OUTPUT_BITS = 14_000
 
 
@@ -372,6 +374,24 @@ def cmd_cohom(args) -> None:
     _emit(args, "cohom", _cohomology_lines(H), payload)
 
 
+def _eta_bits_estimate(elems) -> int:
+    """Bits of the largest decalage coefficient, estimated before the work: the
+    elements' largest primitive coefficient bits (a rational multiple is a
+    unit) times m^2 / 4, m the least degree of a nonzero element. The Smith
+    elimination pivots on an entry of least degree, so its Euclid chains are
+    at most m steps long; a single nonzero element makes none."""
+    degrees = sorted(g.degree for g in elems if g)
+    if len(degrees) < 2:
+        return 0
+    return max(g.primitive_bits() for g in elems) * degrees[0] ** 2 // 4
+
+
+def _check_output_bits(article: str, bits: int) -> None:
+    if bits > MAX_OUTPUT_BITS:
+        raise ValueError("%s %d-bit coefficient is over the budget MAX_OUTPUT_BITS = %d"
+                         % (article, bits, MAX_OUTPUT_BITS))
+
+
 def cmd_eta(args) -> None:
     from .complexes import ShiftProfile, cohomology, complex_to_json, decalage, koszul
     from .exactalg import POLY_OVER_RATIONALS
@@ -380,6 +400,7 @@ def cmd_eta(args) -> None:
     if f.is_zero:
         raise ValueError("the decalage scale must be nonzero")
     elems = _parse_elements(args.elements)
+    _check_output_bits("an estimated", _eta_bits_estimate(elems))
     K = koszul(POLY_OVER_RATIONALS, elems)
     delta = ShiftProfile.identity(0, K.highest)
     E = decalage(K, f, delta)
@@ -387,9 +408,7 @@ def cmd_eta(args) -> None:
     coeffs = [c for d in E.differentials for row in d.data for x in row for c in x.coeffs]
     coeffs += [c for _, factors in H.values() for x in factors for c in x.coeffs]
     bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in coeffs), default=0)
-    if bits > MAX_OUTPUT_BITS:
-        raise ValueError("a %d-bit coefficient is over the budget MAX_OUTPUT_BITS = %d"
-                         % (bits, MAX_OUTPUT_BITS))
+    _check_output_bits("a", bits)
     payload = {
         "f": str(f),
         "elements": [str(g) for g in elems],

@@ -12,6 +12,10 @@ their gcd after each operation, and Fractions are built once, at the end.
 A field needs no remainder loop: the pivot is the first nonzero entry,
 rows below it are cleared by cross-multiplication, and its row is cleared
 by logging column operations that change that row alone.
+
+Q[t] entries are Poly values, which store their coefficients the same way:
+integer numerators over one denominator. So the Q[t] elimination and replays
+run on integers too, through Poly arithmetic.
 """
 
 from __future__ import annotations
@@ -138,8 +142,10 @@ class _PolyOverRationals(CoeffDomain):
         return 0 if a.is_zero else a.degree + 1
 
     def divides(self, a, b) -> bool:
-        # a nonzero constant is a unit
-        return a.degree == 0 or super().divides(a, b)
+        # only the remainder is computed; a nonzero constant leaves none
+        if not a:
+            return not b
+        return not b % a
 
     def canonical_unit(self, a):
         return Poly.const(1) if a.is_zero else Poly.const(1 / a.leading)

@@ -3,26 +3,21 @@
 This is the coefficient ring Q[t] used by the homological engine; the
 variable prints as t. Euclidean structure (divmod, gcd) is what the
 Smith-form routines rely on.
+
+A polynomial is stored as a tuple of integer numerators over one positive
+denominator, in canonical form: no trailing zero numerator, the denominator
+coprime to the numerators, and zero as ((), 1). Equal polynomials therefore
+have equal fields, and all arithmetic runs on integers; Fractions are built
+only when coeffs is read. Division is pseudo-division on the integer rows,
+and the gcd a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
+§4.6.1; Brown 1971, J. ACM 18).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, List, Tuple
-
-
-def _trimmed(cs: List[Fraction]) -> Tuple[Fraction, ...]:
-    """The coefficients without trailing zeros; pops them off cs."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _integral(cs: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
-    """Integers n_i and d with cs[i] = n_i / d, d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
+from math import gcd, lcm
+from typing import Iterable, Tuple
 
 
 def _render_terms(pairs) -> str:
@@ -38,42 +33,115 @@ def _render_terms(pairs) -> str:
     return " ".join(chunks) or "0"
 
 
-class Poly:
-    """Immutable element of Q[t]; coefficients stored low degree first."""
+def _new(n: tuple, d: int) -> "Poly":
+    """Poly from numerators and a denominator already in canonical form."""
+    p = object.__new__(Poly)
+    p._n = n
+    p._d = d
+    return p
 
-    __slots__ = ("coeffs",)
+
+def _canon(n: list, d: int) -> "Poly":
+    """Poly of n / d for a positive d: trailing zeros dropped, common factor removed."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return _ZERO
+    g = gcd(d, *n) if d != 1 else 1
+    if g != 1:
+        n = [x // g for x in n]
+        d //= g
+    return _new(tuple(n), d)
+
+
+def _pseudo_divide(a: tuple, b: tuple, quotient: bool):
+    """Integer rows q, r and an integer s > 0 with a = (q/s)*b + r/s, deg r < deg b.
+
+    Each step cross-multiplies: the remainder is scaled by |lead(b)|/g and
+    the term (r_top/g) t^k b removed, g = gcd(lead(b), r_top), so s never
+    changes sign and no Fraction is built. q is None unless asked for."""
+    lb = b[-1]
+    sign = 1 if lb > 0 else -1
+    nb = len(b) - 1
+    low = b[:-1]
+    r = list(a)
+    q = [0] * (len(a) - nb) if quotient else None
+    s = 1
+    while len(r) > nb:
+        top = r.pop()
+        k = len(r) - nb
+        g = gcd(lb, top)
+        m, c = abs(lb) // g, sign * top // g
+        if m != 1:
+            r = [x * m for x in r]
+            s *= m
+            if quotient:
+                q = [x * m for x in q]
+        if quotient:
+            q[k] = c
+        for i, y in enumerate(low, k):
+            if y:
+                r[i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return q, r, s
+
+
+def _primitive(n) -> list:
+    """The integer row divided by its content, with a positive leading entry."""
+    g = gcd(*n)
+    if n[-1] < 0:
+        g = -g
+    return [x // g for x in n]
+
+
+class Poly:
+    """Immutable element of Q[t]: numerators _n, low degree first, over _d."""
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs: Tuple[Fraction, ...] = _trimmed([Fraction(c) for c in coeffs])
-
-    @classmethod
-    def _of(cls, cs: List[Fraction]) -> "Poly":
-        """Poly from a list that holds only Fractions, without re-wrapping them."""
-        p = object.__new__(cls)
-        p.coeffs = _trimmed(cs)
-        return p
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        d = lcm(*(c.denominator for c in cs))
+        self._n = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self._d = d
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly((Fraction(value),))
+        c = Fraction(value)
+        return _new((c.numerator,), c.denominator) if c else _ZERO
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, low degree first, no trailing zero."""
+        return tuple(Fraction(x, self._d) for x in self._n)
+
+    def primitive_bits(self) -> int:
+        """Bit length of the largest coefficient of the primitive integer
+        polynomial that is a rational multiple of this one; 0 for zero."""
+        n = self._n
+        return (max(map(abs, n)) // gcd(*n)).bit_length() if n else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._n)
 
     @property
     def degree(self) -> int:
         # zero gets -1 so that degree(r) < degree(b) holds in divmod
-        return len(self.coeffs) - 1
+        return len(self._n) - 1
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
+        if not self._n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._n[-1], self._d)
 
     def _coerced(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -82,28 +150,35 @@ class Poly:
             return Poly.const(other)
         return NotImplemented
 
+    def _plus(self, q: "Poly", sign: int) -> "Poly":
+        """self + sign*q over the least common denominator."""
+        (a, da), (b, db) = (self._n, self._d), (q._n, q._d)
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        out = [x * fa for x in a] if fa != 1 else list(a)
+        if len(out) < len(b):
+            out.extend([0] * (len(b) - len(out)))
+        for i, y in enumerate(b):
+            if y:
+                out[i] += y * fb
+        return _canon(out, da // g * db)
+
     def __add__(self, other):
         q = self._coerced(other)
         if q is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, q.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly._of(out)
+        return self._plus(q, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of([-c for c in self.coeffs])
+        return _new(tuple(-x for x in self._n), self._d)
 
     def __sub__(self, other):
         q = self._coerced(other)
         if q is NotImplemented:
             return NotImplemented
-        return self + (-q)
+        return self._plus(q, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -112,31 +187,36 @@ class Poly:
         q = self._coerced(other)
         if q is NotImplemented:
             return NotImplemented
-        if self.is_zero or q.is_zero:
-            return Poly()
-        # convolve integer numerators over the common denominator da * db
-        (a, da), (b, db) = _integral(self.coeffs), _integral(q.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-        return Poly._of([Fraction(c, da * db) for c in out])
+        a, b = self._n, q._n
+        if not a or not b:
+            return _ZERO
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            x = a[0]
+            out = [x * y for y in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if not x:
+                    continue
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] += x * y
+        return _canon(out, self._d * q._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        cs = self.coeffs
-        if len(cs) <= 1 or not any(cs[:-1]):
-            # c t^k, zero included: (c t^k)^n = c^n t^(kn)
-            if not cs:
-                return Poly() if n else Poly.const(1)
-            return Poly._of([Fraction(0)] * ((len(cs) - 1) * n) + [cs[-1] ** n])
-        out, base = Poly.const(1), self
+        a = self._n
+        if len(a) <= 1 or not any(a[:-1]):
+            # c t^k, zero included: (c t^k)^n = c^n t^(kn), still in lowest terms
+            if not a:
+                return _ZERO if n else _ONE
+            return _new((0,) * ((len(a) - 1) * n) + (a[-1] ** n,), self._d ** n)
+        out, base = _ONE, self
         while True:
             if n & 1:
                 out = out * base
@@ -145,38 +225,50 @@ class Poly:
                 return out
             base = base * base
 
-    def __divmod__(self, other):
+    def _divisor(self, other) -> "Poly":
         b = self._coerced(other)
+        if b is not NotImplemented and not b._n:
+            raise ZeroDivisionError("polynomial division by zero")
+        return b
+
+    def __divmod__(self, other):
+        b = self._divisor(other)
         if b is NotImplemented:
             return NotImplemented
-        if b.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(b.coeffs) + 1)
-        r = list(self.coeffs)
-        lb = b.leading
-        nb = len(b.coeffs)
-        while len(r) >= nb:
-            c = r[-1] / lb
-            k = len(r) - nb
-            q[k] = c
-            for i, bc in enumerate(b.coeffs):
-                if bc:
-                    r[k + i] -= c * bc
-            while r and not r[-1]:
-                r.pop()
-        return Poly._of(q), Poly._of(r)
+        (a, da), (bn, db) = (self._n, self._d), (b._n, b._d)
+        if len(bn) == 1:
+            # a / c for a constant c: numerators times c's denominator
+            c = bn[0]
+            sign = 1 if c > 0 else -1
+            return _canon([x * db * sign for x in a], da * abs(c)), _ZERO
+        if len(a) < len(bn):
+            return _ZERO, self
+        # A = (Q/s) B + R/s on the integer rows gives a = (Q db/(s da)) b + R/(s da)
+        q, r, s = _pseudo_divide(a, bn, True)
+        return _canon([x * db for x in q], s * da), _canon(r, s * da)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        b = self._divisor(other)
+        if b is NotImplemented:
+            return NotImplemented
+        if len(b._n) == 1:
+            return _ZERO
+        if len(self._n) < len(b._n):
+            return self
+        _, r, s = _pseudo_divide(self._n, b._n, False)
+        return _canon(r, s * self._d)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        a = self._n
+        if not a:
             return self
-        lead = self.leading
-        return Poly._of([c / lead for c in self.coeffs])
+        lead = a[-1]
+        if lead < 0:
+            return _canon([-x for x in a], -lead)
+        return _canon(list(a), lead)
 
     def __call__(self, x):
         value = Fraction(0) if isinstance(x, (int, Fraction)) else Poly()
@@ -187,10 +279,13 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        # a constant hashes as the number it equals
+        if len(self._n) <= 1:
+            return hash(Fraction(self._n[0], self._d)) if self._n else 0
+        return hash((self._n, self._d))
 
     def __str__(self) -> str:
         terms = reversed(list(enumerate(self.coeffs)))
@@ -205,11 +300,26 @@ class Poly:
         return [str(c) for c in self.coeffs]
 
 
+_ZERO = _new((), 1)
+_ONE = _new((1,), 1)
 T_VAR = Poly((0, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; poly_gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd; poly_gcd(0, 0) = 0.
+
+    The denominators are units, so the sequence runs on the primitive parts
+    of the numerator rows and takes the primitive part of each
+    pseudo-remainder; the last nonzero one, made monic, is the gcd."""
+    x, y = a._n, b._n
+    if len(x) < len(y):
+        x, y = y, x
+    if not y:
+        return _new(x, 1).monic()
+    x, y = _primitive(x), _primitive(y)
+    while len(y) > 1:
+        _, r, _ = _pseudo_divide(x, y, False)
+        if not r:
+            return _canon(y, y[-1])
+        x, y = y, _primitive(r)
+    return _ONE

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffcurve import bc, cli, cocycles, complexes, derham, tilting
-from ffcurve.parser import parse_sheaf
+from ffcurve.parser import parse_poly, parse_sheaf
 from ffcurve.polyring import Poly
 
 
@@ -262,6 +262,66 @@ def test_eta_refuses_coefficients_it_cannot_print(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, *as_json)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "MAX_OUTPUT_BITS = 8" in err
+
+
+def test_eta_refuses_over_the_estimate_before_the_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("eta started a decalage the estimate refuses")
+
+    monkeypatch.setattr(complexes, "decalage", no_work)
+    monkeypatch.setattr(complexes, "koszul", no_work)
+    argv = ["eta", "t - 3", "(4294967295*t + 7)^8*(1/3*t - 7)^8", "(t + 1)^16"]
+    for as_json in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *as_json)
+        assert (code, out) == (1, "")
+        assert err == ("error: an estimated 18688-bit coefficient is over the budget "
+                       "MAX_OUTPUT_BITS = 14000\n")
+
+
+def test_eta_checks_exact_bits_after_the_work(capsys, monkeypatch):
+    # 16 bits of degree 1 estimate 4 bits: admitted, then refused on the 16
+    # bits the decalage really prints
+    monkeypatch.setattr(cli, "MAX_OUTPUT_BITS", 8)
+    for as_json in ([], ["--json"]):
+        code, out, err = run(capsys, "eta", "t - 3", "65535*t + 7", "t + 1", *as_json)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a ") and "MAX_OUTPUT_BITS = 8" in err
+
+
+def test_eta_estimate_reads_primitive_rows_and_the_least_degree():
+    def estimate(*texts):
+        return cli._eta_bits_estimate([parse_poly(x) for x in texts])
+
+    big = "(4294967295*t + 7)^8*(1/3*t - 7)^8"
+    assert estimate(big, "(t + 1)^16") == 18688
+    # a rational multiple is a unit: it leaves the estimate alone
+    assert estimate("2/3*" + big, "65535*(t + 1)^16") == 18688
+    assert estimate("(65535*t)^16", "(t + 1)^16") == 14 * 16**2 // 4
+    # the Euclid chains are no longer than the least degree: these decalages
+    # print coefficients of 9, 45 and 292 bits
+    assert estimate(big, "(t + 1)^16", "t^2") == 292
+    assert estimate(big, "t") == 292 // 4
+    assert estimate(big) == estimate(big, "0") == estimate(big, "7") == 0
+
+
+# the full stdout of the Q[t] verbs, written by the CLI before Q[t] moved to
+# integer numerators; eta prints its decalage in the bases the Smith log gives
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_GOLDEN_ARGV = {
+    "eta_t": ["eta", "t", "t", "t + 1"],
+    "eta_t-3": ["eta", "t - 3", "t^2 - 1", "t^2 + 2*t + 1"],
+    "cohom_three": ["cohom", "t^2 - 1", "t^2 + 2*t + 1", "t^3 - t"],
+    "koszul_two": ["koszul", "1/3*t - 7", "2*t + 3"],
+}
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+@pytest.mark.parametrize("stem", sorted(_GOLDEN_ARGV))
+def test_output_matches_golden(capsys, stem, suffix):
+    argv = _GOLDEN_ARGV[stem] + ["--json"] * (suffix == ".json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (_GOLDEN / (stem + suffix)).read_bytes()
 
 
 def test_certificate_failure_exit_code(capsys, monkeypatch):

@@ -7,6 +7,7 @@ on with randomized matrices over all three domains.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,94 @@ def test_poly_pow_matches_repeated_products(a, n):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
+def _schoolbook_divmod(a, b):
+    """Quotient and remainder of coefficient lists, one Fraction operation at a time."""
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    while q and not q[-1]:
+        q.pop()
+    return tuple(q), tuple(r)
+
+
+_NONZERO = st.one_of(
+    st.integers(-9, 9).filter(bool).map(Fraction),
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)),
+    st.builds(Fraction, st.integers(-10**30, -1), st.integers(1, 10**30)),
+)
+# divisors of every degree up to 4, with leading coefficients of both signs
+_DIVISOR = st.builds(lambda low, lead: low + [lead], st.lists(_COEFF, max_size=4), _NONZERO)
+
+
+def _assert_canonical(p):
+    """Integer numerators without a trailing zero over a positive coprime denominator."""
+    n, d = p._n, p._d
+    assert type(n) is tuple and all(type(x) is int for x in n)
+    assert type(d) is int and d > 0
+    assert not n or n[-1] != 0
+    assert gcd(d, *n) == 1
+    assert n or d == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFF, max_size=8), _DIVISOR)
+def test_poly_divmod_matches_fraction_schoolbook(a, b):
+    p, d = Poly(a), Poly(b)
+    want_q, want_r = _schoolbook_divmod(p.coeffs, d.coeffs)
+    q, r = divmod(p, d)
+    assert (q.coeffs, r.coeffs) == (want_q, want_r)
+    assert (p // d).coeffs == want_q and (p % d).coeffs == want_r
+    for x in (q, r, p // d, p % d):
+        _assert_canonical(x)
+    assert POLY_OVER_RATIONALS.divides(d, p) == (not want_r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFF, max_size=5), st.lists(_COEFF, max_size=5), _NONZERO,
+       st.integers(0, 4))
+def test_poly_results_are_canonical(a, b, c, n):
+    p, q = Poly(a), Poly(b)
+    results = [p, q, Poly.const(c), Poly.const(0), p + q, p - q, q - p, p - p, -p,
+               p * q, p * c, c * p, p + c, c - p, p ** n, p.monic(), poly_gcd(p, q),
+               Poly(p.to_json())]
+    if q:
+        results += list(divmod(p, q)) + [p % q, p // q]
+    for x in results:
+        _assert_canonical(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFF, max_size=5), st.lists(_COEFF, max_size=4), _NONZERO)
+def test_poly_eq_and_hash_agree_across_constructions(a, b, c):
+    p, q = Poly(a), Poly(b)
+    routes = [
+        Poly(p.coeffs),
+        Poly(p.to_json()),
+        sum((Poly.const(x) * t ** e for e, x in enumerate(p.coeffs)), Poly()),
+        (p + q) - q,
+        p * c * (1 / c),
+        (p * Poly.const(c)) // c,
+        -(-p),
+    ]
+    if q:
+        routes.append(divmod(p * q, q)[0])
+    for x in routes:
+        assert x == p and hash(x) == hash(p)
+    # a constant equals the number and hashes as it does
+    k = Poly.const(c)
+    assert k == c and hash(k) == hash(c) and k == Poly((c,))
+    assert Poly.const(3) == 3 and hash(Poly.const(3)) == hash(3) == hash(Poly((3,)))
+    assert Poly() == 0 and hash(Poly()) == hash(0) == hash(Poly.const(0))
+    assert (p == c) == (p.degree == 0 and p.coeffs[0] == c)
+
+
 def test_poly_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod(t, Poly())
@@ -122,6 +211,54 @@ def test_poly_gcd():
         else:
             assert g.leading == 1
             assert (a % g).is_zero and (b % g).is_zero
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd of coefficient lists by Euclid over Q on Fractions."""
+    while b:
+        a, b = b, _schoolbook_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFF, max_size=5), st.lists(_COEFF, max_size=5), st.lists(_COEFF, max_size=3))
+def test_poly_gcd_matches_fraction_euclid(a, b, c):
+    # a common factor c, so that the gcd is often not 1
+    p, q = Poly(a) * Poly(c), Poly(b) * Poly(c)
+    g = poly_gcd(p, q)
+    assert g.coeffs == _euclid_gcd(p.coeffs, q.coeffs)
+    assert g == poly_gcd(q, p)
+
+
+def test_poly_gcd_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)] or [0], x, domain=sympy.QQ)
+
+    def monic_gcd(p, q):
+        g = sympy.gcd(to_sympy(p), to_sympy(q))
+        return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())])
+
+    third = Fraction(1, 3)
+    pairs = [
+        (Fraction(7, 9) - t**99, (t + 1) ** 99),
+        ((17179869183 * t + 7) ** 12 * (third * t - 7) ** 12, (t + 1) ** 24),
+        ((t**2 + Fraction(1, 7)) ** 30 * (t - 5) ** 4,
+         (t**2 + Fraction(1, 7)) ** 2 * (2 * t + 3) ** 40),
+        ((t - 1) ** 3 * (t + 2) ** 37, (t - 1) ** 5 * (3 * t + 1) ** 35),
+    ]
+    rng = random.Random(13)
+    for _ in range(40):
+        common = Poly([Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                       for _ in range(rng.randint(1, 4))])
+        pairs.append(tuple(
+            common * Poly([rng.randint(-50, 50) for _ in range(rng.randint(0, 6))])
+            for _ in range(2)))
+    for p, q in pairs:
+        assert poly_gcd(p, q) == monic_gcd(p, q)
 
 
 def test_poly_str_forms():
@@ -587,10 +724,12 @@ def test_poly_results_hold_trimmed_fractions():
         a, b = rand_poly(), rand_poly()
         for p in (a + b, a - b, a - a, -a, a * b, a * 0, a + 2, 3 * a, a.monic()):
             check(p)
+        check(poly_gcd(a, b))
         if not b.is_zero:
             q, r = divmod(a, b)
             check(q)
             check(r)
+            check(a % b)
 
 
 def test_poly_truthiness():
