@@ -305,13 +305,18 @@ def test_eta_estimate_reads_primitive_rows_and_the_least_degree():
 
 
 # the full stdout of the Q[t] verbs, written by the CLI before Q[t] moved to
-# integer numerators; eta prints its decalage in the bases the Smith log gives
+# integer numerators; eta prints its decalage in the bases the Smith log gives.
+# The cocycle and derham files were written before the pullback matrices were
+# built on integers and before qp_cohomology memoised d within a call.
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 _GOLDEN_ARGV = {
     "eta_t": ["eta", "t", "t", "t + 1"],
     "eta_t-3": ["eta", "t - 3", "t^2 - 1", "t^2 + 2*t + 1"],
     "cohom_three": ["cohom", "t^2 - 1", "t^2 + 2*t + 1", "t^3 - t"],
     "koszul_two": ["koszul", "1/3*t - 7", "2*t + 3"],
+    "cocycle_24": ["cocycle", "24"],
+    "cocycle_report": ["cocycle", "--report", "--trunc", "12"],
+    "derham_4": ["derham", "4", "--trunc", "5"],
 }
 
 

@@ -6,6 +6,7 @@ on random points; kernel and quotient dimensions are frozen from hand
 expansion of small cases.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -452,6 +453,48 @@ def test_hom_column_checks_rejects_empty_windows():
             hom_column_checks(bad, 4)
         with pytest.raises(ValueError):
             hom_column_checks(6, bad)
+
+
+@pytest.mark.parametrize("cls", [PolyFunc, MahlerFunc])
+def test_pullback_rows_match_public_pullbacks(cls):
+    # the integer matrices, read off column by column from the public
+    # Fraction-valued pullbacks of each one-key basis function
+    for degree in range(1, 7):
+        for table, pullback, arity, out_arities in (
+            (cocycles._D1, pullback_d1, 1, LEVEL_ARITIES[-1]),
+            (cocycles._D2, pullback_d2, 2, LEVEL_ARITIES[-2]),
+        ):
+            source = cocycles._keys_up_to(arity, degree)
+            out_keys = tuple(cocycles._keys_up_to(a, degree) for a in out_arities)
+            rows = cocycles._pullback_rows(table, cls, source, out_keys)
+            assert all(type(v) is int for row in rows for v in row)
+            columns = []
+            for key in source:
+                images = pullback(cls(arity, {key: 1}))
+                images = images if isinstance(images, tuple) else (images,)
+                assert all(set(f.coeffs) <= set(keys) for f, keys in zip(images, out_keys))
+                columns.append(
+                    [f.coeffs.get(k, 0) for f, keys in zip(images, out_keys) for k in keys]
+                )
+            assert rows == [list(row) for row in zip(*columns)]
+
+
+def _digest(values):
+    h = hashlib.sha256()
+    for value in values:
+        h.update(repr(value).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_reports_match_recorded_digests():
+    # digests of the reprs written before the pullback matrices were built on
+    # integers; repr shows Fraction(...), so a leaked int changes them
+    assert _digest(symmetric_2cocycle_report(q) for q in range(1, 33)) == (
+        "1f092942a134ce8d66f0df3d6c2da8e4fa583399fa7a8cca71ef5c28229f8dbc"
+    )
+    assert _digest(hom_column_checks(a, a) for a in range(1, 13)) == (
+        "0d687fa1cd4dec5c0289b6b73345d9cd4660d63264b54d8a7a0b7e045ac0b797"
+    )
 
 
 # ------------------------------------------------------------ linear algebra

@@ -1,5 +1,7 @@
 """Graded de Rham pieces: dimensions, the derivative, exactness."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -186,3 +188,37 @@ def test_corrupt_differential_fails_certificate(monkeypatch):
     )
     with pytest.raises(CertificateError, match="d o d"):
         qp_cohomology(2, 2)
+
+
+def test_qp_computes_each_d_once_per_call(monkeypatch):
+    real_d = derham._d
+    calls = Counter()
+
+    def counted(form):
+        calls[form] += 1
+        return real_d(form)
+
+    monkeypatch.setattr(derham, "_d", counted)
+    certified = {f for i, e in derham._pieces(3, 4) if i + e for f in derham._forms(3, i, e)}
+    for _ in range(2):  # the second call computes every d again
+        calls.clear()
+        qp_cohomology(3, 4)
+        assert certified <= set(calls)
+        assert max(calls.values()) == 1
+
+
+def test_no_differential_outlives_a_call(monkeypatch):
+    real_d = derham._d
+    qp_cohomology(2, 3)
+    monkeypatch.setattr(derham, "_d", lambda f: {g: 2 * c for g, c in real_d(f).items()})
+    with pytest.raises(CertificateError, match="iota"):
+        qp_cohomology(2, 3)
+
+
+def test_qp_reprs_match_recorded_digest():
+    # written before qp_cohomology memoised d within a call
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        for D in range(1, 6):
+            h.update(repr(qp_cohomology(n, D)).encode() + b"\n")
+    assert h.hexdigest() == "cc995770062b0b58e18ff2cfa4d2cf84383a4bc0d16aba6527b1dd15203c09cf"
