@@ -315,6 +315,7 @@ _GOLDEN_ARGV = {
     "cohom_three": ["cohom", "t^2 - 1", "t^2 + 2*t + 1", "t^3 - t"],
     "koszul_two": ["koszul", "1/3*t - 7", "2*t + 3"],
     "cocycle_24": ["cocycle", "24"],
+    "cocycle_32": ["cocycle", "32"],
     "cocycle_report": ["cocycle", "--report", "--trunc", "12"],
     "derham_4": ["derham", "4", "--trunc", "5"],
 }

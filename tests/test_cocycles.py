@@ -9,7 +9,7 @@ expansion of small cases.
 import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -500,7 +500,7 @@ def test_reports_match_recorded_digests():
 # ------------------------------------------------------------ linear algebra
 
 def _fraction_rref(rows):
-    """Gauss-Jordan over Fractions: the reference the integer RREF must match."""
+    """Gauss-Jordan over Fractions: the reference the kernel basis is read from."""
     rows = [[Fraction(v) for v in row] for row in rows]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots, r = [], 0
@@ -543,20 +543,102 @@ def _random_rational_matrix(rng, m, n):
     return rows
 
 
-def test_rref_matches_fraction_elimination():
-    rng = random.Random(4711)
+def _rref_kernel(rows, n):
+    """The kernel read off the Fraction RREF: free column 1, pivots -red."""
+    rank, pivots, red = _fraction_rref(rows)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][free]
+        basis.append(vec)
+    return basis
+
+
+def _tall_sparse_matrix(rng, c):
+    """Up to 4c rows with at most 4 nonzeros each, like the d2 matrices;
+    some rows are zero and some are multiples or sums of earlier ones."""
+    rows = []
+    for _ in range(rng.randint(1, 4 * c)):
+        kind = rng.random()
+        row = [0] * c
+        if kind < 0.1:
+            pass
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randint(-3, 3)
+            row = [x + k * y for x, y in zip(a, b)]
+        else:
+            for col in rng.sample(range(c), min(c, rng.randint(1, 4))):
+                row[col] = rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 6, 12, 35))
+        rows.append(row)
+    return rows
+
+
+def _matrices(rng):
     shapes = [(1, n) for n in range(1, 8)] + [(m, 1) for m in range(1, 8)]
     shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(300)]
     for m, n in shapes:
-        rows = _random_rational_matrix(rng, m, n)
-        rank, pivots, red = cocycles._rref(rows)
-        assert (rank, pivots, red) == _fraction_rref(rows)
-        assert all(type(v) is Fraction for row in red for v in row)
+        yield _random_rational_matrix(rng, m, n), n
+    for _ in range(120):
+        c = rng.randint(1, 16)
+        yield _tall_sparse_matrix(rng, c), c
+
+
+def test_kernel_basis_matches_fraction_elimination():
+    rng = random.Random(4711)
+    for rows, n in _matrices(rng):
         kernel = cocycles._kernel_basis(rows, n)
-        assert len(kernel) == n - rank
-        for vec in kernel:
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
-    assert cocycles._rref([]) == (0, [], [])
+        assert kernel == _rref_kernel(rows, n)
+        assert all(type(v) is Fraction for vec in kernel for v in vec)
     assert cocycles._kernel_basis([], 3) == [
         [Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]
     ]
+    assert cocycles._kernel_basis([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert cocycles._kernel_basis([[Fraction(1, 2), Fraction(-1, 3)]], 2) == [
+        [Fraction(2, 3), 1]
+    ]
+
+
+def test_integer_kernel_is_a_primitive_echelon_basis():
+    # the invariants the normalisation relies on: primitive integer vectors
+    # whose last nonzero positions strictly increase, each in the kernel
+    rng = random.Random(2024)
+    for rows, n in _matrices(rng):
+        K = cocycles._integer_kernel(rows, n)
+        lasts = [max(c for c, v in enumerate(vec) if v) for vec in K]
+        assert lasts == sorted(set(lasts))
+        for vec in K:
+            assert all(type(v) is int for v in vec)
+            assert gcd(*vec) == 1
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+# ------------------------------------------------------------ sympy oracle
+
+def _engine_matrices(max_q, max_window):
+    """The matrices the cocycle reports and hom_column_checks build."""
+    for q in range(1, max_q + 1):
+        source = cocycles._keys_of_degree(2, q)
+        out = (cocycles._keys_of_degree(3, q), cocycles._keys_of_degree(2, q))
+        yield cocycles._pullback_rows(cocycles._D2, PolyFunc, source, out), len(source)
+    for w in range(1, max_window + 1):
+        keys = [cocycles._keys_up_to(a, w) for a in (1, 2, 3)]
+        for cls in (PolyFunc, MahlerFunc):
+            rows = cocycles._pullback_rows(cocycles._D1, cls, keys[0], (keys[1],))
+            yield rows, len(keys[0])
+            rows = cocycles._pullback_rows(cocycles._D2, cls, keys[1], (keys[2], keys[1]))
+            yield rows, len(keys[1])
+
+
+def test_kernel_basis_against_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    for rows, n in _engine_matrices(16, 8):
+        M = sympy.Matrix(rows)
+        kernel = cocycles._kernel_basis(rows, n)
+        want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
+        assert kernel == want
+        assert n - len(kernel) == M.rank()
