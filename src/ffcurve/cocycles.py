@@ -18,7 +18,10 @@ product of the space.  On top of the operators, this module computes
 symmetric 2-cocycle spaces by degree and the small kernel and exactness
 checks used for the Hom and Ext columns.  Their pullback matrices have
 integer entries (signs times multinomial or Vandermonde coefficients), so
-they are built on ints from the same per-key kernel as ``precompose``.  Their
+they are built on ints from the same per-key kernel as ``precompose``.  In
+that kernel a key is one int, exponent e_v in the field at bit width*v, so
+products of monomials, or of Mahler keys on disjoint variables, add codes;
+``_merge_keys`` expands only Mahler products on a shared variable.  The
 kernels are cut out by successive hyperplane intersection on primitive
 integer vectors; only the reduced basis read off at the end is in Fractions.
 """
@@ -37,7 +40,7 @@ Key = Tuple[int, ...]
 LEVEL_ARITIES = {0: (1,), -1: (2,), -2: (3, 2), -3: (4, 3, 3, 2, 1)}
 
 #: work budgets, checked before any matrix is built; on a 2-vCPU host a call
-#: takes about 0.012 s at MAX_COCYCLE_DEGREE and 0.025 s at MAX_COLUMN_DEGREE
+#: takes 0.011-0.013 s at MAX_COCYCLE_DEGREE and 0.019-0.025 s at MAX_COLUMN_DEGREE
 MAX_COCYCLE_DEGREE = 32
 MAX_COLUMN_DEGREE = 12
 
@@ -79,10 +82,22 @@ def _var_names(arity: int) -> Tuple[str, ...]:
     return tuple("x%d" % (i + 1) for i in range(arity))
 
 
+def _encode(key: Key, width: int) -> int:
+    return sum(e << width * v for v, e in enumerate(key))
+
+
+def _decode(code: int, arity: int, width: int) -> Key:
+    mask = (1 << width) - 1
+    return tuple(code >> width * v & mask for v in range(arity))
+
+
 class _Combo:
     """Finite linear combination of exponent-tuple basis keys."""
 
     __slots__ = ("arity", "coeffs")
+
+    #: True where basis products add keys (monomials), even on a shared variable
+    _KEYS_ADD = False
 
     def __init__(self, arity: int, coeffs: Dict[Key, Fraction]):
         if not isinstance(arity, int) or arity < 1:
@@ -151,7 +166,11 @@ class _Combo:
             return type(self)(self.arity, {k: v * other for k, v in self.coeffs.items()})
         if type(other) is type(self):
             self._same_space(other)
-            return type(self)(self.arity, self._product(self.coeffs, other.coeffs))
+            width = max(self.degree() + other.degree(), 1).bit_length()
+            a, b = ({_encode(k, width): v for k, v in f.coeffs.items()} for f in (self, other))
+            out = self._product(a, b.items(), self.arity, width, True)
+            return type(self)(self.arity, {_decode(k, self.arity, width): v
+                                           for k, v in out.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -163,8 +182,8 @@ class _Combo:
         if not isinstance(power, int) or power < 0:
             raise ValueError("power must be a non-negative integer")
         out = type(self).constant(self.arity, 1)
-        for _ in range(power):
-            out = out * self
+        for bit in bin(power)[2:]:  # square and multiply, leading bit first
+            out = out * out * self if bit == "1" else out * out
         return out
 
     # -- evaluation and composition ----------------------------------------
@@ -198,42 +217,52 @@ class _Combo:
                 raise ValueError("variable index out of range")
             if len(set(slot)) != len(slot):
                 raise ValueError("argument slot repeats a variable")
-        out: Dict[Key, Fraction] = {}
+        width = max(self.degree(), 1).bit_length()
+        out: Dict[int, Fraction] = {}
         for key, coeff in self.coeffs.items():
-            for new_key, c in self._precompose_key(key, assignment, out_arity).items():
-                out[new_key] = out.get(new_key, Fraction(0)) + coeff * c
-        return type(self)(out_arity, out)
+            for code, c in self._precompose_key(key, assignment, out_arity, width).items():
+                out[code] = out.get(code, 0) + coeff * c
+        return type(self)(out_arity, {_decode(k, out_arity, width): v for k, v in out.items()})
 
     @classmethod
-    def _precompose_key(cls, key: Key, assignment, out_arity: int) -> Dict[Key, int]:
-        # one basis function under a checked assignment: integer coefficients
-        partial: Dict[Key, int] = {(0,) * out_arity: 1}
+    def _precompose_key(cls, key: Key, assignment, out_arity: int, width: int) -> Dict[int, int]:
+        # one basis function under a checked assignment, on codes of width >= bits of sum(key)
+        partial: Dict[int, int] = {0: 1}
+        used: set = set()
         for slot, e in zip(assignment, key):
             if e:
-                partial = cls._product(partial, cls._slot_block(slot, e, out_arity))
+                shared = not used.isdisjoint(slot)
+                partial = cls._product(partial, cls._slot_block(slot, e, width),
+                                       out_arity, width, shared)
+                used.update(slot)
         return partial
 
     @classmethod
-    def _product(cls, a, b):
-        # product of two coefficient dicts, basis products expanded by _merge_keys
+    def _product(cls, a, b, arity: int, width: int, shared: bool):
+        # codes add, unless the factors may share a variable that _merge_keys expands
         out = {}
+        if cls._KEYS_ADD or not shared:
+            for ka, ca in a.items():
+                for kb, cb in b:
+                    out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+            return out
         for ka, ca in a.items():
-            for kb, cb in b.items():
-                for key, mult in cls._merge_keys(ka, kb).items():
-                    out[key] = out.get(key, 0) + ca * cb * mult
+            key_a = _decode(ka, arity, width)
+            for kb, cb in b:
+                for key, mult in cls._merge_keys(key_a, _decode(kb, arity, width)).items():
+                    code = _encode(key, width)
+                    out[code] = out.get(code, 0) + ca * cb * mult
         return out
 
     @classmethod
-    def _slot_block(cls, slot, e, out_arity) -> Dict[Key, int]:
+    def _slot_block(cls, slot, e, width) -> List[Tuple[int, int]]:
         # basis function of degree e on the sum of the (distinct) slot
-        # variables: one key per composition of e over the slot
-        block: Dict[Key, int] = {}
-        for comp in _compositions(e, len(slot)):
-            key = [0] * out_arity
-            for var, a in zip(slot, comp):
-                key[var] = a
-            block[tuple(key)] = cls._composition_coeff(e, comp)
-        return block
+        # variables: one (code, coefficient) per composition of e over the slot
+        shifts = [width * var for var in slot]
+        return [
+            (sum(a << s for a, s in zip(comp, shifts)), cls._composition_coeff(e, comp))
+            for comp in _compositions(e, len(slot))
+        ]
 
     # subclass hooks
     @staticmethod
@@ -267,6 +296,7 @@ class PolyFunc(_Combo):
     """Polynomial with rational coefficients in ``arity`` variables."""
 
     __slots__ = ()
+    _KEYS_ADD = True
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "PolyFunc":
@@ -303,19 +333,11 @@ class MahlerFunc(_Combo):
 
     @staticmethod
     def _merge_keys(key_a, key_b):
+        # variable by variable; _binom_product(a, 0) is {a: 1}
         out: Dict[Key, int] = {(): 1}
         for a, b in zip(key_a, key_b):
-            if a == 0:
-                options = {b: 1}
-            elif b == 0:
-                options = {a: 1}
-            else:
-                options = _binom_product(a, b)
-            merged: Dict[Key, int] = {}
-            for prefix, c0 in out.items():
-                for k, c1 in options.items():
-                    merged[prefix + (k,)] = merged.get(prefix + (k,), 0) + c0 * c1
-            out = merged
+            prod = _binom_product(a, b)
+            out = {key + (k,): c * m for key, c in out.items() for k, m in prod.items()}
         return out
 
     @staticmethod
@@ -506,17 +528,18 @@ def _pullback_rows(table, cls, source_keys, out_keys) -> List[List[int]]:
     """Integer matrix of a one-source pullback table (_D1, _D2) on the span
     of the source basis keys, as rows: one column per source key, one row
     per key of each output component."""
-    columns = []
-    for key in source_keys:
-        column: List[int] = []
-        for component, keys in zip(table, out_keys):
-            image: Dict[Key, int] = {}
+    width = max(1, *(sum(k) for keys in (source_keys, *out_keys) for k in keys)).bit_length()
+    rows: List[List[int]] = []
+    row_of: List[Dict[int, int]] = []  # per component: output code -> row index
+    for keys in out_keys:
+        row_of.append({_encode(k, width): len(rows) + r for r, k in enumerate(keys)})
+        rows.extend([0] * len(source_keys) for _ in keys)
+    for j, key in enumerate(source_keys):
+        for component, index, keys in zip(table, row_of, out_keys):
             for sign, _, slots in component:
-                for k, c in cls._precompose_key(key, slots, len(keys[0])).items():
-                    image[k] = image.get(k, 0) + sign * c
-            column.extend(image.get(k, 0) for k in keys)
-        columns.append(column)
-    return [list(row) for row in zip(*columns)]
+                for code, c in cls._precompose_key(key, slots, len(keys[0]), width).items():
+                    rows[index[code]][j] += sign * c
+    return rows
 
 
 # ------------------------------------------------------------ cocycle spaces

@@ -232,6 +232,67 @@ def test_random_precompose_matches_evaluation():
                 assert g.evaluate(point) == f.evaluate(args)
 
 
+@pytest.mark.parametrize("cls", [PolyFunc, MahlerFunc])
+def test_powers_match_repeated_products(cls):
+    rng = random.Random(5)
+    make = _random_poly if cls is PolyFunc else _random_mahler
+    for arity in (1, 2):
+        f = make(rng, arity, max_degree=2, n_terms=3)
+        want = cls.constant(arity, 1)
+        for power in range(10):
+            assert f ** power == want
+            want = want * f
+        with pytest.raises(ValueError):
+            f ** (-1)
+
+
+def _tuple_precompose_key(cls, key, assignment, out_arity):
+    """The tuple-keyed kernel as it was before keys were coded as ints: each
+    slot block a dict of exponent tuples, every product through _merge_keys."""
+    def product(a, b):
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                for k, mult in cls._merge_keys(ka, kb).items():
+                    out[k] = out.get(k, 0) + ca * cb * mult
+        return out
+
+    def slot_block(slot, e):
+        block = {}
+        for comp in cocycles._compositions(e, len(slot)):
+            k = [0] * out_arity
+            for var, a in zip(slot, comp):
+                k[var] = a
+            block[tuple(k)] = cls._composition_coeff(e, comp)
+        return block
+
+    partial = {(0,) * out_arity: 1}
+    for slot, e in zip(assignment, key):
+        if e:
+            partial = product(partial, slot_block(slot, e))
+    return partial
+
+
+@pytest.mark.parametrize("cls", [PolyFunc, MahlerFunc])
+def test_coded_kernel_matches_tuple_kernel(cls):
+    # every term of every table, the diagonal [x, x] of _D3 included, at the
+    # narrowest code width each key admits
+    for table, in_arities, out_arities in (
+        (cocycles._D1, LEVEL_ARITIES[0], LEVEL_ARITIES[-1]),
+        (cocycles._D2, LEVEL_ARITIES[-1], LEVEL_ARITIES[-2]),
+        (cocycles._D3, LEVEL_ARITIES[-2], LEVEL_ARITIES[-3]),
+    ):
+        for component, out_arity in zip(table, out_arities):
+            for _, source, slots in component:
+                for key in cocycles._keys_up_to(in_arities[source], 6):
+                    width = max(sum(key), 1).bit_length()
+                    coded = cls._precompose_key(key, slots, out_arity, width)
+                    got = [(cocycles._decode(c, out_arity, width), v) for c, v in coded.items()]
+                    want = _tuple_precompose_key(cls, key, slots, out_arity)
+                    assert got == list(want.items())
+                    assert all(type(v) is int for _, v in got)
+
+
 # ----------------------------------------------------------------- pullbacks
 
 def test_pullback_d1_on_square():

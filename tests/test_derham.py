@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -65,10 +66,10 @@ def test_derivative_of_x_squared():
 
 def test_derivative_mixed_entry():
     # d(xy) = y dx + x dy with unit coefficients
-    cols = derham._forms(2, 0, 2)
+    cols = [derham._decode(f, 2) for f in derham._forms(2, 0, 2)]
     col = cols.index(((), (1, 1)))
     M = dense_d(2, 0, 2)
-    tgt = derham._forms(2, 1, 1)
+    tgt = [derham._decode(f, 2) for f in derham._forms(2, 1, 1)]
     rx = tgt.index(((0,), (0, 1)))
     ry = tgt.index(((1,), (1, 0)))
     assert M[rx][col] == 1 and M[ry][col] == 1
@@ -173,21 +174,38 @@ def test_qp_tables_match_ranks():
 
 def test_corrupt_differential_fails_certificate(monkeypatch):
     real_d = derham._d
-    # twice d on one weight strand still squares to zero, but d.iota + iota.d
-    # becomes 2w there: every strand is certified, the frontier w = D included
-    for w in range(1, 4):
-        monkeypatch.setattr(derham, "_d", lambda f, w=w: {
-            g: 2 * c if len(f[0]) + sum(f[1]) == w else c for g, c in real_d(f).items()
-        })
-        with pytest.raises(CertificateError, match="iota"):
+    for n in (2, 3, 4):
+        def weight(f, n=n):
+            S, expo = derham._decode(f, n)
+            return len(S) + sum(expo)
+
+        # twice d on one weight strand still squares to zero, but d.iota + iota.d
+        # becomes 2w there: every strand is certified, the frontier w = D included
+        for w in range(1, 4):
+            monkeypatch.setattr(derham, "_d", lambda f, w=w, weight=weight: {
+                g: 2 * c if weight(f) == w else c for g, c in real_d(f).items()
+            })
+            with pytest.raises(CertificateError, match="iota"):
+                qp_cohomology(n, 3)
+        # flipping d on the dx forms breaks d(d(xy)) = 0
+        monkeypatch.setattr(
+            derham, "_d",
+            lambda f, n=n: {
+                g: -c if derham._decode(f, n)[0] == (0,) else c for g, c in real_d(f).items()
+            },
+        )
+        with pytest.raises(CertificateError, match="d o d"):
+            qp_cohomology(n, 2)
+
+
+def test_d_outside_the_basis_fails_certificate(monkeypatch):
+    real_d = derham._d
+    # a term on a variable past n, then one with x^50 more: neither form is
+    # in the call's basis
+    for extra in (2 << derham._F * 2, 2 * 50):
+        monkeypatch.setattr(derham, "_d", lambda f, extra=extra: {**real_d(f), f + extra: 1})
+        with pytest.raises(CertificateError, match="leaves the basis"):
             qp_cohomology(2, 3)
-    # flipping d on the dx forms breaks d(d(xy)) = 0
-    monkeypatch.setattr(
-        derham, "_d",
-        lambda f: {g: -c if f[0] == (0,) else c for g, c in real_d(f).items()},
-    )
-    with pytest.raises(CertificateError, match="d o d"):
-        qp_cohomology(2, 2)
 
 
 def test_qp_computes_each_d_once_per_call(monkeypatch):
@@ -213,6 +231,68 @@ def test_no_differential_outlives_a_call(monkeypatch):
     monkeypatch.setattr(derham, "_d", lambda f: {g: 2 * c for g, c in real_d(f).items()})
     with pytest.raises(CertificateError, match="iota"):
         qp_cohomology(2, 3)
+
+
+# the tuple formulas of the forms, d and iota, as they were before forms
+# were coded as ints: the oracles the codes must decode to
+
+
+def tuple_forms(n, i, e):
+    monomials = []
+    for pick in combinations_with_replacement(range(n), e):
+        expo = [0] * n
+        for v in pick:
+            expo[v] += 1
+        monomials.append(tuple(expo))
+    return [(S, expo) for S in combinations(range(n), i) for expo in monomials]
+
+
+def tuple_d(form):
+    S, expo = form
+    out = {}
+    for v, k in enumerate(expo):
+        if k == 0 or v in S:
+            continue
+        pos = sum(1 for s in S if s < v)
+        out[(S[:pos] + (v,) + S[pos:], expo[:v] + (k - 1,) + expo[v + 1:])] = (
+            -k if pos % 2 else k
+        )
+    return out
+
+
+def tuple_iota(form):
+    S, expo = form
+    return {
+        (S[:j] + S[j + 1:], expo[:v] + (expo[v] + 1,) + expo[v + 1:]): -1 if j % 2 else 1
+        for j, v in enumerate(S)
+    }
+
+
+def decoded(vec, n):
+    return {derham._decode(g, n): c for g, c in vec.items()}
+
+
+def test_coded_forms_decode_to_the_tuple_formulas():
+    for n in range(1, 5):
+        for i, e in derham._pieces(n, 6):
+            forms = derham._forms(n, i, e)
+            assert [derham._decode(f, n) for f in forms] == tuple_forms(n, i, e)
+            for f in forms:
+                assert decoded(derham._d(f), n) == tuple_d(derham._decode(f, n))
+                assert decoded(derham._iota(f), n) == tuple_iota(derham._decode(f, n))
+
+
+def test_coded_forms_hold_the_largest_exponents():
+    # no exponent of a call exceeds D <= MAX_DERHAM_FORMS; decoding one
+    # variable more shows that nothing spills into the next field
+    for e in (9999, derham.MAX_DERHAM_FORMS):
+        (f,) = derham._forms(1, 0, e)
+        (g,) = derham._forms(1, 1, e - 1)
+        assert derham._decode(f, 2) == ((), (e, 0))
+        assert derham._decode(g, 2) == ((0,), (e - 1, 0))
+        assert decoded(derham._d(f), 2) == tuple_d(((), (e, 0))) == {((0,), (e - 1, 0)): e}
+        assert decoded(derham._iota(g), 2) == tuple_iota(((0,), (e - 1, 0))) == {((), (e, 0)): 1}
+        assert derham._d(g) == {} and derham._iota(f) == {}
 
 
 def test_qp_reprs_match_recorded_digest():

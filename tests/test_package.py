@@ -1,5 +1,6 @@
 """The package namespace: lazy exports, and each module importable on its own."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -82,3 +83,30 @@ def test_parser_keeps_the_sheaves_module_it_first_bound():
     # ffcurve must not hand the parser's callers objects of other classes
     subprocess.run([sys.executable, "-c", _REIMPORT], check=True,
                    env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def test_no_assert_statement_in_the_library():
+    # every check raises a typed error, which python -O does not strip
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((SRC / "ffcurve").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+_DOUBLED_D = """
+import sys
+from ffcurve import cli, derham
+real_d = derham._d
+derham._d = lambda f: {g: 2 * c for g, c in real_d(f).items()}
+sys.exit(cli.main(["derham", "2", "--trunc", "3"]))
+"""
+
+
+def test_certificate_fails_under_python_O():
+    run = subprocess.run([sys.executable, "-O", "-c", _DOUBLED_D], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
