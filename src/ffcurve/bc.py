@@ -8,9 +8,9 @@ additive (dimension, height) pair matches (degree, rank) in the heart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from .errors import Frozen, _set
 from .sheaves import (
     BCInvariant,
     CoherentSheaf,
@@ -62,11 +62,11 @@ def _atom_str(atom: Atom) -> str:
     return body if m == 1 else body + "^%d" % m
 
 
-@dataclass(frozen=True)
-class BCDescriptor:
+class BCDescriptor(Frozen):
     """Atom list with its additive (dimension, height) invariant."""
 
-    atoms: Tuple[Atom, ...]
+    def __init__(self, atoms: Tuple[Atom, ...]):
+        _set(self, "atoms", atoms)
 
     @property
     def invariant(self) -> BCInvariant:
@@ -153,8 +153,7 @@ def breen_tables() -> dict:
 # -------------------------------------------------------------- presentations
 
 
-@dataclass(frozen=True)
-class PresentationCertificate:
+class PresentationCertificate(Frozen):
     """Two-term resolution 0 -> O^a -> middle -> target -> 0.
 
     The kernel is slope-0 of rank a, every middle slope lies in [0, 1],
@@ -162,12 +161,15 @@ class PresentationCertificate:
     Atoms handled on a degree-h cover are listed in levels.
     """
 
-    target: TiltedObject
-    a: int
-    middle: CoherentSheaf
-    steps: Tuple[ShortExactSequence, ...]
-    final: ShortExactSequence
-    levels: Tuple[Tuple[str, int], ...] = ()
+    def __init__(self, target: TiltedObject, a: int, middle: CoherentSheaf,
+                 steps: Tuple[ShortExactSequence, ...], final: ShortExactSequence,
+                 levels: Tuple[Tuple[str, int], ...] = ()):
+        _set(self, "target", target)
+        _set(self, "a", a)
+        _set(self, "middle", middle)
+        _set(self, "steps", steps)
+        _set(self, "final", final)
+        _set(self, "levels", levels)
 
     def validate(self) -> "PresentationCertificate":
         for step in self.steps:

@@ -5,8 +5,9 @@ tables by default; ``--json`` switches every verb to a versioned JSON
 envelope (``schema`` field), and ``hn --svg out.svg`` additionally
 writes the HN polygon as a standalone SVG file.
 
-The module itself loads no library module but ``errors``: each verb
-imports the modules it runs, so a cold ``ffcurve <verb>`` compiles only those.
+The module itself loads no library module but ``errors``: each verb imports
+the modules it runs, and no verb loads ``dataclasses`` or ``inspect``. With no
+bytecode cache, a cold ``ffcurve <verb>`` compiles everything it imports afresh.
 
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,

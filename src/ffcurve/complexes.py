@@ -11,11 +11,11 @@ divisions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
+from .errors import Frozen, _set
 from .exactalg import (
     CoeffDomain,
     Mat,
@@ -36,20 +36,19 @@ from .exactalg import (
 MAX_KOSZUL_COEFFS = 256
 
 
-@dataclass(frozen=True)
-class BoundedComplex:
+class BoundedComplex(Frozen):
     """Terms are free modules of the given ranks, starting at degree lowest.
 
     differentials[i] maps term i to term i+1 and has shape
     ranks[i+1] x ranks[i]; consecutive differentials must compose to zero.
     """
 
-    domain: CoeffDomain
-    lowest: int
-    ranks: Tuple[int, ...]
-    differentials: Tuple[Mat, ...]
-
-    def __post_init__(self):
+    def __init__(self, domain: CoeffDomain, lowest: int, ranks: Tuple[int, ...],
+                 differentials: Tuple[Mat, ...]):
+        _set(self, "domain", domain)
+        _set(self, "lowest", lowest)
+        _set(self, "ranks", ranks)
+        _set(self, "differentials", differentials)
         if not self.ranks:
             raise ValueError("a bounded complex needs at least one term")
         if len(self.differentials) != len(self.ranks) - 1:
@@ -155,18 +154,16 @@ def koszul(dom: CoeffDomain, elements: Sequence) -> BoundedComplex:
 # -------------------------------------------------------------------- decalage
 
 
-@dataclass(frozen=True)
-class ShiftProfile:
+class ShiftProfile(Frozen):
     """delta tabulated on [lo, lo+len-1], clamped constant outside."""
 
-    lo: int
-    values: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, lo: int, values: Tuple[int, ...]):
+        if not values:
             raise ValueError("shift profile needs at least one value")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise ValueError("shift values must be non-negative")
+        _set(self, "lo", lo)
+        _set(self, "values", values)
 
     def __call__(self, j: int) -> int:
         i = min(max(j - self.lo, 0), len(self.values) - 1)
@@ -277,15 +274,14 @@ def _decalage(
 # ------------------------------------------------------------------ chain maps
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Frozen):
     """Degreewise map between complexes on the same support window."""
 
-    source: BoundedComplex
-    target: BoundedComplex
-    components: Tuple[Mat, ...]
-
-    def __post_init__(self):
+    def __init__(self, source: BoundedComplex, target: BoundedComplex,
+                 components: Tuple[Mat, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "components", components)
         if self.source.domain is not self.target.domain:
             raise ValueError("chain map needs a common coefficient domain")
         if (self.source.lowest, len(self.source.ranks)) != (

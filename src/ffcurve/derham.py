@@ -17,12 +17,11 @@ a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import CertificateError
+from .errors import CertificateError, Frozen, _set
 
 Form = int  # basis form x^expo dx_S, coded as below
 Vec = Dict[Form, int]  # sparse integer combination of basis forms
@@ -135,14 +134,15 @@ def ga_cohomology(n: int, D: int) -> Dict[int, Dict[int, int]]:
     }
 
 
-@dataclass(frozen=True)
-class QpCohomology:
+class QpCohomology(Frozen):
     """Kernel dimensions per weight strand, with the truncation frontier."""
 
-    n: int
-    D: int
-    table: Dict[int, Dict[int, int]]
-    boundary: FrozenSet[Tuple[int, int]]
+    def __init__(self, n: int, D: int, table: Dict[int, Dict[int, int]],
+                 boundary: FrozenSet[Tuple[int, int]]):
+        _set(self, "n", n)
+        _set(self, "D", D)
+        _set(self, "table", table)
+        _set(self, "boundary", boundary)
 
 
 def qp_cohomology(n: int, D: int) -> QpCohomology:

@@ -1,4 +1,39 @@
-"""Typed errors of the library's mathematical checks and of its parser."""
+"""Typed errors of the library's checks and parser; the frozen record base."""
+
+#: stores a field of a Frozen record from its __init__
+_set = object.__setattr__
+
+
+class Frozen:
+    """Immutable record: a subclass's ``__init__`` parameters are its fields, in
+    order, each stored through ``_set``. Equality holds within one class only,
+    the hash is the field tuple's, and repr is ``Name(f=..., g=...)``; hot
+    subclasses spell ``__eq__`` and ``__hash__`` out on the same terms."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, body)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 class CertificateError(Exception):

@@ -20,11 +20,11 @@ run on integers too, through Poly arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Any, Sequence, Tuple
 
+from .errors import Frozen, _set
 from .polyring import Poly, poly_gcd
 
 
@@ -64,6 +64,10 @@ class CoeffDomain:
         raise NotImplementedError
 
     def __repr__(self):
+        return self.name
+
+    def __reduce__(self):
+        # pickle and deepcopy return the module-level instance: `dom is RATIONALS` holds
         return self.name
 
 
@@ -168,19 +172,23 @@ POLY_OVER_RATIONALS = _PolyOverRationals()
 # -------------------------------------------------------------------- matrices
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Frozen):
     """Dense matrix with explicit shape (rows or cols may be zero)."""
 
-    rows: int
-    cols: int
-    data: Tuple[Tuple[Any, ...], ...]
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(
-            len(r) != self.cols for r in self.data
-        ):
+    def __init__(self, rows: int, cols: int, data: Tuple[Tuple[Any, ...], ...]):
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("matrix shape mismatch")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data))
 
 
 def mat(dom: CoeffDomain, rows: Sequence[Sequence], cols: int = None) -> Mat:
@@ -238,16 +246,16 @@ def mat_to_json(dom: CoeffDomain, A: Mat) -> dict:
 # ---------------------------------------------------------- Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Frozen):
     """S = U A V, diagonal with a divisibility chain; inverses tracked."""
 
-    S: Mat
-    U: Mat
-    Uinv: Mat
-    V: Mat
-    Vinv: Mat
-    rank: int
+    def __init__(self, S: Mat, U: Mat, Uinv: Mat, V: Mat, Vinv: Mat, rank: int):
+        _set(self, "S", S)
+        _set(self, "U", U)
+        _set(self, "Uinv", Uinv)
+        _set(self, "V", V)
+        _set(self, "Vinv", Vinv)
+        _set(self, "rank", rank)
 
     @property
     def invariant_factors(self) -> Tuple:
@@ -282,16 +290,16 @@ def _col_op(M: list, kind: str, i: int, j: int, q) -> None:
                 r[i] = r[i] * q
 
 
-@dataclass(frozen=True)
-class SmithElimination:
+class SmithElimination(Frozen):
     """S and its rank, with every _row_op and _col_op that took A to S, in
     order, as (kind, i, j, q, q') with q' the inverse operation's q; no
     transform is built."""
 
-    S: Mat
-    rank: int
-    rows: Tuple[tuple, ...]
-    cols: Tuple[tuple, ...]
+    def __init__(self, S: Mat, rank: int, rows: Tuple[tuple, ...], cols: Tuple[tuple, ...]):
+        _set(self, "S", S)
+        _set(self, "rank", rank)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
 
     invariant_factors = SmithForm.invariant_factors
 
@@ -365,8 +373,10 @@ def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
                     break
             if dirty:
                 continue
-            # pivot must divide the rest of the submatrix for the chain
+            # pivot must divide the rest of the submatrix; a unit (norm 1) does
             p = S[t][t]
+            if dom.norm(p) == 1:
+                break
             stray = next(
                 (
                     i

@@ -9,10 +9,9 @@ level of (dimension, height) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .errors import CertificateError
+from .errors import CertificateError, Frozen, _set
 from .slopes import INFINITY, Slope, hom_slope_data, reduce
 
 
@@ -48,12 +47,20 @@ def _canon_label(label: str) -> str:
     return "inf" if label in ("∞", "inf") else str(label)
 
 
-@dataclass(frozen=True)
-class CoherentSheaf:
+class CoherentSheaf(Frozen):
     """Slope normal form: bundle atoms (slope strictly decreasing) + torsion."""
 
-    bundle: Tuple[BundleAtom, ...] = ()
-    torsion: Tuple[TorsionAtom, ...] = ()
+    def __init__(self, bundle: Tuple[BundleAtom, ...] = (), torsion: Tuple[TorsionAtom, ...] = ()):
+        _set(self, "bundle", bundle)
+        _set(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bundle, self.torsion) == (other.bundle, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bundle, self.torsion))
 
     @staticmethod
     def zero() -> "CoherentSheaf":
@@ -276,24 +283,30 @@ def k0_class(F: CoherentSheaf) -> Tuple[int, int]:
 # --------------------------------------------------------------- tilted values
 
 
-@dataclass(frozen=True)
-class TiltedObject:
+class TiltedObject(Frozen):
     """Object of the tilted heart: (neg placed in degree -1, pos in degree 0).
 
     neg carries only bundle atoms of slope < 0; pos carries slopes >= 0
     and all torsion.
     """
 
-    neg: CoherentSheaf
-    pos: CoherentSheaf
-
-    def __post_init__(self):
-        if self.neg.torsion:
+    def __init__(self, neg: CoherentSheaf, pos: CoherentSheaf):
+        if neg.torsion:
             raise ValueError("the degree -1 part cannot contain torsion")
-        if any(s.d >= 0 for s, _ in self.neg.bundle):
+        if any(s.d >= 0 for s, _ in neg.bundle):
             raise ValueError("degree -1 slopes must be < 0")
-        if any(s.d < 0 for s, _ in self.pos.bundle):
+        if any(s.d < 0 for s, _ in pos.bundle):
             raise ValueError("degree 0 slopes must be >= 0")
+        _set(self, "neg", neg)
+        _set(self, "pos", pos)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.neg, self.pos) == (other.neg, other.pos)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.neg, self.pos))
 
     @property
     def is_zero(self) -> bool:
@@ -323,14 +336,15 @@ class TiltedObject:
 # ------------------------------------------------------------------- sequences
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(Frozen):
     """A certified short exact sequence; entries live in the tilted heart."""
 
-    left: TiltedObject
-    middle: TiltedObject
-    right: TiltedObject
-    tag: str = "composite"
+    def __init__(self, left: TiltedObject, middle: TiltedObject, right: TiltedObject,
+                 tag: str = "composite"):
+        _set(self, "left", left)
+        _set(self, "middle", middle)
+        _set(self, "right", right)
+        _set(self, "tag", tag)
 
     def validate(self) -> "ShortExactSequence":
         lm, rm, mm = self.left.k0_class(), self.right.k0_class(), self.middle.k0_class()

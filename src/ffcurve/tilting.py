@@ -10,11 +10,11 @@ the double-tilt functor just unshifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import List, Tuple
 
+from .errors import Frozen, _set
 from .sheaves import (
     BCInvariant,
     CoherentSheaf,
@@ -120,11 +120,11 @@ def hn_minus(A: TiltedObject) -> List[Tuple[object, TiltedObject]]:
     return pieces
 
 
-@dataclass(frozen=True)
-class HomMatrix:
+class HomMatrix(Frozen):
     """2x2 block of hom invariants plus their sum."""
 
-    entries: Tuple[Tuple[BCInvariant, BCInvariant], Tuple[BCInvariant, BCInvariant]]
+    def __init__(self, entries: Tuple[Tuple[BCInvariant, BCInvariant], ...]):
+        _set(self, "entries", entries)
 
     @property
     def total(self) -> BCInvariant:
@@ -138,7 +138,7 @@ class HomMatrix:
         rows = [
             "[%s  %s]" % (row[0], row[1]) for row in self.entries
         ]
-        return "\n".join(rows) + "\ntotal %s" % self.total
+        return "\n".join(rows) + "\ntotal %s" % (self.total,)
 
 
 def hom_tilted(A: TiltedObject, B: TiltedObject) -> HomMatrix:

@@ -310,3 +310,40 @@ def random_qis(dom, rng: random.Random, lo: int = 0, n_terms: int = 4,
         mat_mul(dom, comps[i], basis[i][1]) for i in range(len(comps))
     )
     return ChainMap(D_conj, C, twisted)
+
+
+# ---------------------------------------------------------------- records
+
+
+def record_samples():
+    """One fresh instance of each of the library's 13 frozen records, with its
+    field names in order."""
+    from ffcurve.bc import PresentationCertificate, r0tau
+    from ffcurve.complexes import ShiftProfile, identity_chain_map, koszul
+    from ffcurve.derham import qp_cohomology
+    from ffcurve.exactalg import smith_elimination, smith_normal_form
+    from ffcurve.sheaves import ShortExactSequence, TiltedObject, se2
+    from ffcurve.tilting import hom_tilted
+
+    A = Mat(2, 2, ((2, 4), (6, 8)))
+    F = direct_sum(O(1, 2), T([2], "x"))
+    zero = TiltedObject(CoherentSheaf(), CoherentSheaf())
+    return [
+        (A, ("rows", "cols", "data")),
+        (smith_normal_form(INTEGERS, A), ("S", "U", "Uinv", "V", "Vinv", "rank")),
+        (smith_elimination(INTEGERS, A), ("S", "rank", "rows", "cols")),
+        (koszul(INTEGERS, [2, 3]), ("domain", "lowest", "ranks", "differentials")),
+        (ShiftProfile(1, (0, 2)), ("lo", "values")),
+        (identity_chain_map(koszul(INTEGERS, [2])), ("source", "target", "components")),
+        (F, ("bundle", "torsion")),
+        (TiltedObject(O(-1), O(2)), ("neg", "pos")),
+        (se2(2), ("left", "middle", "right", "tag")),
+        (r0tau(F), ("atoms",)),
+        (
+            PresentationCertificate(zero, 0, CoherentSheaf(), (),
+                                    ShortExactSequence(zero, zero, zero, "presentation")),
+            ("target", "a", "middle", "steps", "final", "levels"),
+        ),
+        (hom_tilted(TiltedObject(O(-1), O(0)), TiltedObject(O(-2), O(1, 2))), ("entries",)),
+        (qp_cohomology(1, 2), ("n", "D", "table", "boundary")),
+    ]

@@ -178,6 +178,17 @@ def test_presentation_fractional_levels():
     _check_certificate(cert2, neg)
 
 
+def test_presentation_certificate_str_is_its_final_sequence():
+    cert = effective_presentation(TiltedObject(O(-1), O(2)))
+    assert str(cert) == str(cert.final) == (
+        "0 -> tilted(0; O^3) -> tilted(0; O(1)^3) -> tilted(O(-1); O(2)) -> 0  [presentation]"
+    )
+    assert str(effective_presentation(direct_sum(O(3, 2), T([2])))) == (
+        "0 -> tilted(0; O^6) -> tilted(0; O(1)^2 + O(1/2)^3) -> tilted(0; O(3/2) + T(inf,[2]))"
+        " -> 0  [presentation]"
+    )
+
+
 def test_presentation_small_slopes_left_alone():
     cert = effective_presentation(tilt(O(1, 2)))
     assert cert.a == 0 and cert.middle == O(1, 2)

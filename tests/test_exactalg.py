@@ -5,6 +5,7 @@ the transforms replayed from its logs (S = U A V with inverses) are pounded
 on with randomized matrices over all three domains.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -554,6 +555,28 @@ def test_smith_form_matches_dense_loops():
             assert got == want, (dom, m, n, density)
             for name in ("S", "U", "Uinv", "V", "Vinv"):
                 assert _typed(getattr(got, name)) == _typed(getattr(want, name))
+
+
+def _log_digest(dom, seed):
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(40):
+        A = random_mat(dom, rng, rng.randint(1, 7), rng.randint(1, 7))
+        E = smith_elimination(dom, A)
+        rows, cols = ("\n".join(" ".join(map(str, op)) for op in log) for log in (E.rows, E.cols))
+        h.update((rows + "|" + cols + "\n").encode())
+    return h.hexdigest()
+
+
+def test_elimination_logs_match_recorded_digest():
+    # recorded while the stray-divisibility scan still ran on unit pivots,
+    # which divide every entry, so skipping it must log the same operations
+    assert _log_digest(INTEGERS, 5) == (
+        "37b3142086d533a6b1290b8ad64247ecf413fd26b155d564f3addb8366284058"
+    )
+    assert _log_digest(POLY_OVER_RATIONALS, 7) == (
+        "95ab9341f8046b78c2f051b3c7ac1facfaf1b176a51eb1d9463554d2eb515ede"
+    )
 
 
 # ------------------------------------------------- Q on integer numerators

@@ -96,6 +96,40 @@ def test_no_assert_statement_in_the_library():
     assert found == []
 
 
+def test_no_library_module_imports_dataclasses():
+    # see test_verbs_load_neither_dataclasses_nor_inspect
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((SRC / "ffcurve").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
+_VERB_MODULES = """
+import contextlib, io, sys
+from ffcurve import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "O(2/3)"], ["info", "tilted(O(-1); O(1/2))"], ["present", "O(3)"], ["breen"],
+    ["cohom", "t", "t + 1"], ["eta", "t", "t"], ["derham", "2", "--trunc", "3"],
+    ["cocycle", "--report", "--trunc", "3"],
+], ids=lambda argv: argv[0])
+def test_verbs_load_neither_dataclasses_nor_inspect(argv):
+    # every cold verb compiles what it imports afresh when no bytecode cache
+    # is written, and dataclasses pulls in inspect, ast, dis and tokenize
+    out = subprocess.run([sys.executable, "-c", _VERB_MODULES, *argv], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.stdout.split() == ["0"]
+
+
 _DOUBLED_D = """
 import sys
 from ffcurve import cli, derham

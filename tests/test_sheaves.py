@@ -39,7 +39,7 @@ from ffcurve.sheaves import (
 )
 from ffcurve.slopes import INFINITY, reduce
 
-from gen import random_sheaf
+from gen import random_sheaf, record_samples
 
 
 # ---------------------------------------------------------------- normal form
@@ -338,6 +338,7 @@ def test_pickle_and_deepcopy_round_trip():
     F = direct_sum(O(7, 3), O(1, 2), T([3, 2], "x0"))
     A = TiltedObject(O(-5, 2), F)
     objs = [F, A, effective_presentation(A), INFINITY]
+    objs += [x for x, _ in record_samples()]  # every frozen record of the library
     for x in objs:
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert y == x and repr(y) == repr(x)

@@ -208,6 +208,13 @@ def test_hom_tilted_example():
     assert M.total == BCInvariant(1, 1)
 
 
+def test_hom_matrix_str():
+    # the rows, then the total; the total is a BCInvariant, a tuple, which
+    # `%` would take for its argument list if it were not wrapped in one
+    M = hom_tilted(TiltedObject(O(-1), O(0)), TiltedObject(O(-2), O(1, 2)))
+    assert str(M) == "[(0, 0)  (2, -1)]\n[(0, 0)  (1, 2)]\ntotal (3, 1)"
+
+
 def test_hom_tilted_torsion_vs_structure():
     A = TiltedObject(CoherentSheaf.zero(), T([1]))
     B = TiltedObject(CoherentSheaf.zero(), O(0))
