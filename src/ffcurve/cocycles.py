@@ -21,9 +21,21 @@ integer entries (signs times multinomial or Vandermonde coefficients), so
 they are built on ints from the same per-key kernel as ``precompose``.  In
 that kernel a key is one int, exponent e_v in the field at bit width*v, so
 products of monomials, or of Mahler keys on disjoint variables, add codes;
-``_merge_keys`` expands only Mahler products on a shared variable.  The
-kernels are cut out by successive hyperplane intersection on primitive
-integer vectors; only the reduced basis read off at the end is in Fractions.
+``_merge_keys`` expands only Mahler products on a shared variable.
+
+No kernel is searched for.  ``_certify`` proves ker = span K for a closed
+form K and a pivot map, column key -> row key of the first output
+component: every row annihilates K, the pivot entries form a nonzero
+diagonal minor, and each vector of K is nonzero on its own one of the
+other columns.  In those keys:
+
+  symmetric d2, degree q: K is C(q,k) at (k, q-k), 0 < k < q, Lazard's
+      (x+y)^q - x^q - y^q (none at q = 1); (q,0) -> (q,0,0), (0,q) ->
+      (0,0,q), (j+1, q-1-j) -> (1, j, q-1-j) for 0 < j < q-1;
+  d1*: K is x = C(x,1); (0,) -> (0,0), (k,) -> (k-1, 1) for k >= 2;
+  Mahler d2: K is the d1* columns of (0,) and (k,), k >= 2, so ker d2 =
+      im d1*; (a,0) -> (a,0,0), (0,b) -> (0, b-1, 1), (a,b) -> (1, a-1, b)
+      for a >= 2, b >= 1.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
+from .errors import CertificateError
 from .polyring import _render_terms
 
 Key = Tuple[int, ...]
@@ -458,59 +471,24 @@ def pullback_d3(f3, f2):
     return _apply_pullback(_D3, LEVEL_ARITIES[-2], LEVEL_ARITIES[-3], (f3, f2))
 
 
-# ------------------------------------------------------------ linear algebra
+# ------------------------------------------------------------ certificates
 
-def _primitive(row: List[int]) -> List[int]:
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
-def _integer_kernel(rows, ncols) -> List[List[int]]:
-    """Primitive integer basis of the right kernel of int or Fraction rows,
-    by successive hyperplane intersection.
-
-    K starts as the unit vectors.  A row v with some s_j = v.K_j nonzero
-    drops the first such K_j0 and replaces every other K_j by
-    s_j0*K_j - s_j*K_j0, so span K stays the kernel of the rows seen.
-    Taking the first j0 keeps the last nonzero positions of K strictly
-    increasing, and those positions are the free columns of the RREF.
-    """
-    K = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    for row in rows:
-        if not K:
-            break
-        support = [(c, v) for c, v in enumerate(row) if v]
-        den = math.lcm(*(v.denominator for _, v in support))
-        support = [(c, v.numerator * (den // v.denominator)) for c, v in support]
-        s = [sum(a * vec[c] for c, a in support) for vec in K]
-        j0 = next((j for j, x in enumerate(s) if x), None)
-        if j0 is None:
-            continue
-        pivot, p = K.pop(j0), s.pop(j0)
-        for j, f in enumerate(s):
-            if f:
-                g = math.gcd(p, f)
-                K[j] = _primitive([p // g * a - f // g * b for a, b in zip(K[j], pivot)])
-    return K
-
-
-def _kernel_basis(rows, ncols) -> List[List[Fraction]]:
-    """Right kernel over Q as the RREF reads it off: one vector per free
-    column, in increasing order, with 1 there and 0 at the other free
-    columns.  It is the integer kernel, each vector scaled to 1 at its last
-    nonzero entry and cleared at the earlier vectors' ones."""
-    basis: List[List[Fraction]] = []
-    lasts: List[int] = []
-    for vec in _integer_kernel(rows, ncols):
-        last = max(c for c, v in enumerate(vec) if v)
-        red = [Fraction(v, vec[last]) for v in vec]
-        for b, l in zip(basis, lasts):
-            f = red[l]
-            if f:
-                red = [x - f * y for x, y in zip(red, b)]
-        basis.append(red)
-        lasts.append(last)
-    return basis
+def _certify(rows, kernel, pivots: Dict[int, int], report: str) -> None:
+    """Prove ker rows = span kernel by the checks of the module docstring,
+    pivots mapping column to row indices, or raise CertificateError."""
+    supports = [[(c, v) for c, v in enumerate(vec) if v] for vec in kernel]
+    free = [[c for c, _ in support if c not in pivots] for support in supports]
+    if any(sum(row[c] * v for c, v in support) for support in supports for row in rows):
+        why = "a closed-form kernel vector is not annihilated by every row"
+    elif any([j for j, v in enumerate(rows[r]) if v and j in pivots] != [c]
+             for c, r in pivots.items()):
+        why = "the pivot entries are not a nonzero diagonal minor"
+    elif any(len(cols) != 1 for cols in free) or not (
+            len({cols[0] for cols in free}) == len(kernel) == len(rows[0]) - len(pivots)):
+        why = "the kernel vectors do not own one non-pivot column each"
+    else:
+        return
+    raise CertificateError("%s: %s" % (report, why))
 
 
 def _keys_of_degree(arity: int, degree: int) -> List[Key]:
@@ -544,6 +522,10 @@ def _pullback_rows(table, cls, source_keys, out_keys) -> List[List[int]]:
 
 # ------------------------------------------------------------ cocycle spaces
 
+def _positions(keys: List[Key]) -> Dict[Key, int]:
+    return {key: i for i, key in enumerate(keys)}
+
+
 def symmetric_2cocycle_report(q: int) -> dict:
     """Kernel of the second pullback on homogeneous degree-q polynomials of
     two variables (the symmetric 2-cocycles), with the coboundary line."""
@@ -555,8 +537,13 @@ def symmetric_2cocycle_report(q: int) -> dict:
     source_keys = _keys_of_degree(2, q)
     out_keys = (_keys_of_degree(3, q), _keys_of_degree(2, q))
     rows = _pullback_rows(_D2, PolyFunc, source_keys, out_keys)
-    kernel = _kernel_basis(rows, len(source_keys))
-    basis = tuple(PolyFunc(2, dict(zip(source_keys, vec))) for vec in kernel)
+    col, row = _positions(source_keys), _positions(out_keys[0])
+    kernel = [[math.comb(q, a) if 0 < a < q else 0 for a, _ in source_keys]] if q > 1 else []
+    pivots = {col[q, 0]: row[q, 0, 0], col[0, q]: row[0, 0, q]}
+    pivots.update((col[j + 1, q - 1 - j], row[1, j, q - 1 - j]) for j in range(1, q - 1))
+    _certify(rows, kernel, pivots, "symmetric 2-cocycles of degree %d" % q)
+    basis = tuple(PolyFunc(2, {key: Fraction(a, q) for key, a in zip(source_keys, vec)})
+                  for vec in kernel)
     coboundary = pullback_d1(PolyFunc.variable(1, 0) ** q)
     cob_dim = 0 if coboundary.is_zero() else 1
     return {
@@ -568,6 +555,18 @@ def symmetric_2cocycle_report(q: int) -> dict:
     }
 
 
+def _certified_d1(cls, degree: int, report: str) -> List[List[int]]:
+    """The d1* matrix on functions of one variable up to ``degree``, with
+    its kernel certified to be the span of x = C(x, 1); column k is (k,)."""
+    keys2 = _keys_up_to(2, degree)
+    rows = _pullback_rows(_D1, cls, _keys_up_to(1, degree), (keys2,))
+    row = _positions(keys2)
+    pivots = {k: row[k - 1, 1] for k in range(2, degree + 1)}
+    pivots[0] = row[0, 0]
+    _certify(rows, [[int(k == 1) for k in range(degree + 1)]], pivots, report)
+    return rows
+
+
 def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
     """Kernel and exactness checks for the first columns of the resolution.
 
@@ -577,27 +576,23 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
     (c) on binomial-basis functions up to degree_mahler the chain
         scalars -> functions of one variable -> functions of two variables
         -> degree -2 components is exact at the two middle spots.
+
+    (a) and (c) are certified from closed forms; CertificateError otherwise.
     """
+    if not isinstance(degree_poly, int) or not isinstance(degree_mahler, int):
+        raise ValueError("degree bounds must be integers")
     if degree_poly < 1 or degree_mahler < 1:
         # both windows must contain the identity function, of degree 1
         raise ValueError("degree bounds must be at least 1")
     if max(degree_poly, degree_mahler) > MAX_COLUMN_DEGREE:
         raise ValueError("degree bounds (%d, %d) are over the budget MAX_COLUMN_DEGREE = %d"
                          % (degree_poly, degree_mahler, MAX_COLUMN_DEGREE))
-    keys1 = _keys_up_to(1, degree_poly)
-    keys2 = _keys_up_to(2, degree_poly)
-    rows = _pullback_rows(_D1, PolyFunc, keys1, (keys2,))
-    kernel = _kernel_basis(rows, len(keys1))
-    kernel_polys = [PolyFunc(1, dict(zip(keys1, vec))) for vec in kernel]
-    identity = PolyFunc.variable(1, 0)
-    span_x = len(kernel_polys) == 1 and not (
-        kernel_polys[0] - kernel_polys[0].coeffs.get((1,), Fraction(0)) * identity
-    ).coeffs
+    _certified_d1(PolyFunc, degree_poly, "polynomial d1* up to degree %d" % degree_poly)
     poly_report = {
         "degree_bound": degree_poly,
-        "dim": len(kernel_polys),
-        "basis": tuple(str(p) for p in kernel_polys),
-        "is_span_of_identity": bool(span_x),
+        "dim": 1,
+        "basis": (str(PolyFunc.variable(1, 0)),),
+        "is_span_of_identity": True,
     }
 
     image = pullback_d1(PolyFunc.constant(1, 1))
@@ -606,26 +601,28 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
         "injective": not image.is_zero(),
     }
 
-    akeys = _keys_up_to(1, degree_mahler)
-    bkeys = _keys_up_to(2, degree_mahler)
-    ckeys = (_keys_up_to(3, degree_mahler), _keys_up_to(2, degree_mahler))
-    ker_d1 = len(_kernel_basis(_pullback_rows(_D1, MahlerFunc, akeys, (bkeys,)), len(akeys)))
-    rank_d1 = len(akeys) - ker_d1
-    ker_d2 = len(_kernel_basis(_pullback_rows(_D2, MahlerFunc, bkeys, ckeys), len(bkeys)))
-    # the inclusion of scalars lands on the identity function: image dim 1
-    homology = (ker_d1 - 1, ker_d2 - rank_d1)
+    # ker d1* is the span of C(x,1), the image of the scalars, and ker d2 is
+    # certified to be im d1*: both middle homologies vanish
+    top = degree_mahler
+    d1 = _certified_d1(MahlerFunc, top, "Mahler d1* up to degree %d" % top)
+    bkeys = _keys_up_to(2, top)
+    ckeys = (_keys_up_to(3, top), bkeys)
+    row = _positions(ckeys[0])
+    pivots = {c: row[(a, 0, 0) if not b else (0, b - 1, 1) if not a else (1, a - 1, b)]
+              for c, (a, b) in enumerate(bkeys) if a + b and (a != 1 or not b)}
+    _certify(_pullback_rows(_D2, MahlerFunc, bkeys, ckeys),
+             [[r[k] for r in d1] for k in range(top + 1) if k != 1],
+             pivots, "Mahler d2 up to degree %d" % top)
     mahler_report = {
-        "degree_bound": degree_mahler,
-        "dims": {"functions": len(akeys), "pairs": len(bkeys)},
-        "homology_dims": homology,
-        "exact": homology == (0, 0),
+        "degree_bound": top,
+        "dims": {"functions": top + 1, "pairs": len(bkeys)},
+        "homology_dims": (0, 0),
+        "exact": True,
     }
 
-    ok = poly_report["is_span_of_identity"] and constants_report["injective"] \
-        and mahler_report["exact"]
     return {
         "poly_kernel": poly_report,
         "constants": constants_report,
         "mahler_middle": mahler_report,
-        "ok": bool(ok),
+        "ok": constants_report["injective"],
     }

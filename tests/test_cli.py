@@ -341,6 +341,21 @@ def test_certificate_failure_exit_code(capsys, monkeypatch):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_cocycle_certificate_failure_exit_code(capsys, monkeypatch):
+    real_rows = cocycles._pullback_rows
+
+    def perturbed(*args):
+        rows = real_rows(*args)
+        rows[-1] = [v + 1 for v in rows[-1]]
+        return rows
+
+    monkeypatch.setattr(cocycles, "_pullback_rows", perturbed)
+    for argv in (["--report"], ["--report", "--json"], ["5"], ["5", "--json"]):
+        code, out, err = run(capsys, "cocycle", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_info_sheaf_json(capsys):
     payload = run_json(capsys, "info", "O(1/2) + T(x0,[3])", "--json")
     assert payload["kind"] == "sheaf"

@@ -3,13 +3,17 @@
 Oracle policy: the bracket rules are transcribed independently here as
 pointwise evaluation formulas and compared against the symbolic operators
 on random points; kernel and quotient dimensions are frozen from hand
-expansion of small cases.
+expansion of small cases.  The kernels the reports certify from closed
+forms are compared with a Fraction RREF and with sympy's nullspace, and
+certificates with a flipped sign, an off-by-one kernel coefficient or a
+misplaced pivot must be refused.
 """
 
 import hashlib
 import random
+import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import pytest
 
@@ -24,6 +28,7 @@ from ffcurve.cocycles import (
     pullback_d3,
     symmetric_2cocycle_report,
 )
+from ffcurve.errors import CertificateError
 
 
 def _random_poly(rng, arity, max_degree=3, n_terms=4):
@@ -508,6 +513,12 @@ def test_budgets_refuse_before_any_matrix(monkeypatch):
             hom_column_checks(a, b)
 
 
+def test_hom_column_checks_rejects_non_int_degrees():
+    for a, b in ((2.5, 3), (3, "4"), (Fraction(3), 3), (None, 2)):
+        with pytest.raises(ValueError, match="integers"):
+            hom_column_checks(a, b)
+
+
 def test_hom_column_checks_rejects_empty_windows():
     for bad in (0, -1):
         with pytest.raises(ValueError):
@@ -581,29 +592,6 @@ def _fraction_rref(rows):
     return r, pivots, rows
 
 
-def _random_rational_matrix(rng, m, n):
-    def entry():
-        kind = rng.random()
-        if kind < 0.4:
-            return Fraction(0)
-        if kind < 0.7:
-            return Fraction(rng.randint(-9, 9))
-        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-
-    rows = [[entry() for _ in range(n)] for _ in range(m)]
-    if m > 1 and rng.random() < 0.3:
-        rows[rng.randrange(m)] = [Fraction(0)] * n
-    if n > 1 and rng.random() < 0.3:
-        col = rng.randrange(n)
-        for row in rows:
-            row[col] = Fraction(0)
-    if m > 1 and rng.random() < 0.3:  # a dependent row
-        a, b = rng.sample(range(m), 2)
-        k = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        rows[a] = [k * v for v in rows[b]]
-    return rows
-
-
 def _rref_kernel(rows, n):
     """The kernel read off the Fraction RREF: free column 1, pivots -red."""
     rank, pivots, red = _fraction_rref(rows)
@@ -619,87 +607,109 @@ def _rref_kernel(rows, n):
     return basis
 
 
-def _tall_sparse_matrix(rng, c):
-    """Up to 4c rows with at most 4 nonzeros each, like the d2 matrices;
-    some rows are zero and some are multiples or sums of earlier ones."""
-    rows = []
-    for _ in range(rng.randint(1, 4 * c)):
-        kind = rng.random()
-        row = [0] * c
-        if kind < 0.1:
-            pass
-        elif kind < 0.3 and rows:
-            a, b = rng.choice(rows), rng.choice(rows)
-            k = rng.randint(-3, 3)
-            row = [x + k * y for x, y in zip(a, b)]
-        else:
-            for col in rng.sample(range(c), min(c, rng.randint(1, 4))):
-                row[col] = rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 6, 12, 35))
-        rows.append(row)
-    return rows
+def _certificates(monkeypatch, max_q, max_window):
+    """(rows, kernel, pivots, report) of every _certify call that the
+    symmetric reports up to max_q and hom_column_checks(w, w) up to
+    max_window make, in call order."""
+    real, calls = cocycles._certify, []
+
+    def spy(*args):
+        calls.append(args)
+        real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cocycles, "_certify", spy)
+        for q in range(1, max_q + 1):
+            symmetric_2cocycle_report(q)
+        for w in range(1, max_window + 1):
+            hom_column_checks(w, w)
+    return calls
 
 
-def _matrices(rng):
-    shapes = [(1, n) for n in range(1, 8)] + [(m, 1) for m in range(1, 8)]
-    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(300)]
-    for m, n in shapes:
-        yield _random_rational_matrix(rng, m, n), n
-    for _ in range(120):
-        c = rng.randint(1, 16)
-        yield _tall_sparse_matrix(rng, c), c
+def test_certified_kernels_match_fraction_elimination(monkeypatch):
+    # same dimension and same span as the kernel read off the Fraction RREF
+    for rows, kernel, _, _ in _certificates(monkeypatch, 16, 8):
+        want = _rref_kernel(rows, len(rows[0]))
+        assert len(kernel) == len(want)
+        assert _fraction_rref(kernel + want)[0] == len(kernel)
 
 
-def test_kernel_basis_matches_fraction_elimination():
-    rng = random.Random(4711)
-    for rows, n in _matrices(rng):
-        kernel = cocycles._kernel_basis(rows, n)
-        assert kernel == _rref_kernel(rows, n)
-        assert all(type(v) is Fraction for vec in kernel for v in vec)
-    assert cocycles._kernel_basis([], 3) == [
-        [Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]
-    ]
-    assert cocycles._kernel_basis([[0, 0]], 2) == [[1, 0], [0, 1]]
-    assert cocycles._kernel_basis([[Fraction(1, 2), Fraction(-1, 3)]], 2) == [
-        [Fraction(2, 3), 1]
-    ]
+def test_certify_refuses_toy_certificates_that_prove_nothing():
+    rows = [[1, 0, 0], [0, 0, 0]]
+    cocycles._certify(rows, [[0, 1, 0], [0, 0, 2]], {0: 0}, "toy")
+    for rows, kernel, pivots in (
+        (rows, [[0, 1, 0]], {0: 0}),                 # column 2 has no vector
+        (rows, [[0, 1, 1], [0, 0, 0]], {0: 0}),      # a zero vector, one owning two
+        (rows, [[0, 1, 0], [0, 3, 0]], {0: 0}),      # two vectors on one column
+        (rows, [[0, 1, 0], [0, 0, 1]], {0: 1}),      # a zero pivot
+        (rows, [[1, 1, 0], [0, 0, 1]], {}),          # not annihilated
+        ([[1, 1], [1, 1]], [], {0: 0, 1: 1}),        # rank 1: not diagonal
+    ):
+        with pytest.raises(CertificateError, match="^toy: "):
+            cocycles._certify(rows, kernel, pivots, "toy")
 
 
-def test_integer_kernel_is_a_primitive_echelon_basis():
-    # the invariants the normalisation relies on: primitive integer vectors
-    # whose last nonzero positions strictly increase, each in the kernel
-    rng = random.Random(2024)
-    for rows, n in _matrices(rng):
-        K = cocycles._integer_kernel(rows, n)
-        lasts = [max(c for c, v in enumerate(vec) if v) for vec in K]
-        assert lasts == sorted(set(lasts))
-        for vec in K:
-            assert all(type(v) is int for v in vec)
-            assert gcd(*vec) == 1
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+@pytest.mark.parametrize("component,term", [
+    (c, t) for c, terms in enumerate(cocycles._D2) for t in range(len(terms))
+])
+def test_d2_with_one_sign_flipped_is_refused(monkeypatch, component, term):
+    table = [list(terms) for terms in cocycles._D2]
+    sign, source, slots = table[component][term]
+    table[component][term] = (-sign, source, slots)
+    monkeypatch.setattr(cocycles, "_D2", tuple(tuple(terms) for terms in table))
+    with pytest.raises(CertificateError, match="symmetric 2-cocycles of degree 4"):
+        symmetric_2cocycle_report(4)
+    with pytest.raises(CertificateError, match="Mahler d2 up to degree 3"):
+        hom_column_checks(3, 3)
+
+
+def test_kernel_vector_off_by_one_is_refused(monkeypatch):
+    for rows, kernel, pivots, report in _certificates(monkeypatch, 8, 5):
+        for i, vec in enumerate(kernel):
+            for c in range(len(vec)):
+                if not any(v for j, v in enumerate(vec) if j != c):
+                    continue  # a multiple of vec spans the same line: still true
+                bad = [list(v) for v in kernel]
+                bad[i][c] += 1
+                with pytest.raises(CertificateError, match=re.escape(report)):
+                    cocycles._certify(rows, bad, pivots, report)
+
+
+def test_pivot_sent_to_a_wrong_row_is_refused(monkeypatch):
+    # the row of another pivot is zero on the column; a row nonzero on the
+    # column and on another pivot column leaves the minor off-diagonal
+    for rows, kernel, pivots, report in _certificates(monkeypatch, 8, 5):
+        for c, own in pivots.items():
+            others = [j for j in pivots if j != c]
+            for r, row in enumerate(rows):
+                if r != own and (r in pivots.values() or row[c] and any(row[j] for j in others)):
+                    with pytest.raises(CertificateError, match=re.escape(report)):
+                        cocycles._certify(rows, kernel, {**pivots, c: r}, report)
 
 
 # ------------------------------------------------------------ sympy oracle
 
 def _engine_matrices(max_q, max_window):
-    """The matrices the cocycle reports and hom_column_checks build."""
+    """The matrices the cocycle reports and hom_column_checks build, in the
+    order they build them."""
     for q in range(1, max_q + 1):
         source = cocycles._keys_of_degree(2, q)
         out = (cocycles._keys_of_degree(3, q), cocycles._keys_of_degree(2, q))
         yield cocycles._pullback_rows(cocycles._D2, PolyFunc, source, out), len(source)
     for w in range(1, max_window + 1):
         keys = [cocycles._keys_up_to(a, w) for a in (1, 2, 3)]
-        for cls in (PolyFunc, MahlerFunc):
-            rows = cocycles._pullback_rows(cocycles._D1, cls, keys[0], (keys[1],))
-            yield rows, len(keys[0])
-            rows = cocycles._pullback_rows(cocycles._D2, cls, keys[1], (keys[2], keys[1]))
-            yield rows, len(keys[1])
+        yield cocycles._pullback_rows(cocycles._D1, PolyFunc, keys[0], (keys[1],)), len(keys[0])
+        yield cocycles._pullback_rows(cocycles._D1, MahlerFunc, keys[0], (keys[1],)), len(keys[0])
+        rows = cocycles._pullback_rows(cocycles._D2, MahlerFunc, keys[1], (keys[2], keys[1]))
+        yield rows, len(keys[1])
 
 
-def test_kernel_basis_against_sympy_nullspace():
+def test_kernel_basis_against_sympy_nullspace(monkeypatch):
     sympy = pytest.importorskip("sympy")
-    for rows, n in _engine_matrices(16, 8):
+    certificates = _certificates(monkeypatch, 16, 8)
+    assert [c[0] for c in certificates] == [rows for rows, _ in _engine_matrices(16, 8)]
+    for rows, kernel, _, _ in certificates:
         M = sympy.Matrix(rows)
-        kernel = cocycles._kernel_basis(rows, n)
-        want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
-        assert kernel == want
-        assert n - len(kernel) == M.rank()
+        nullspace = [list(v) for v in M.nullspace()]
+        assert len(kernel) == len(nullspace) == M.cols - M.rank()
+        assert sympy.Matrix(kernel + nullspace).rank() == len(kernel)

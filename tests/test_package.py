@@ -85,17 +85,6 @@ def test_parser_keeps_the_sheaves_module_it_first_bound():
                    env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
-def test_no_assert_statement_in_the_library():
-    # every check raises a typed error, which python -O does not strip
-    found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in sorted((SRC / "ffcurve").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
-
-
 def test_no_library_module_imports_dataclasses():
     # see test_verbs_load_neither_dataclasses_nor_inspect
     found = [
