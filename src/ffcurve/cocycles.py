@@ -21,7 +21,10 @@ integer entries (signs times multinomial or Vandermonde coefficients), so
 they are built on ints from the same per-key kernel as ``precompose``.  In
 that kernel a key is one int, exponent e_v in the field at bit width*v, so
 products of monomials, or of Mahler keys on disjoint variables, add codes;
-``_merge_keys`` expands only Mahler products on a shared variable.
+``_merge_keys`` expands only Mahler products on a shared variable.  The
+expansion of one argument, its slot block, depends only on (slot, e) at the
+call's width: each ``precompose`` or ``_pullback_rows`` call keeps its blocks
+in a dict of its own and builds each once.  No block outlives its call.
 
 No kernel is searched for.  ``_certify`` proves ker = span K for a closed
 form K and a pivot map, column key -> row key of the first output
@@ -36,6 +39,10 @@ other columns.  In those keys:
   Mahler d2: K is the d1* columns of (0,) and (k,), k >= 2, so ker d2 =
       im d1*; (a,0) -> (a,0,0), (0,b) -> (0, b-1, 1), (a,b) -> (1, a-1, b)
       for a >= 2, b >= 1.
+
+The symmetric kernel vector C(q,k) is also, coefficient for coefficient,
+the coboundary d1*(x^q) = (x+y)^q - x^q - y^q, so the report reads the
+coboundary line off the certified kernel instead of pulling x^q back.
 """
 
 from __future__ import annotations
@@ -44,8 +51,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from .errors import CertificateError
-from .polyring import _render_terms
+from .errors import CertificateError, _render_terms
 
 Key = Tuple[int, ...]
 
@@ -80,13 +86,6 @@ def _binom_product(a: int, b: int) -> Dict[int, int]:
         k: math.comb(k, a) * math.comb(a, k - b)
         for k in range(max(a, b), a + b + 1)
     }
-
-
-def _binom_value(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= x - i
-    return out / math.factorial(k)
 
 
 def _var_names(arity: int) -> Tuple[str, ...]:
@@ -199,20 +198,7 @@ class _Combo:
             out = out * out * self if bit == "1" else out * out
         return out
 
-    # -- evaluation and composition ----------------------------------------
-
-    def evaluate(self, point) -> Fraction:
-        if len(point) != self.arity:
-            raise ValueError("expected %d coordinates" % self.arity)
-        values = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for key, coeff in self.coeffs.items():
-            term = coeff
-            for value, e in zip(values, key):
-                if e:
-                    term *= self._basis_factor(value, e)
-            total += term
-        return total
+    # -- composition -------------------------------------------------------
 
     def precompose(self, assignment, out_arity: int) -> "_Combo":
         """Substitute coordinate sums: argument i becomes sum of the listed
@@ -232,21 +218,26 @@ class _Combo:
                 raise ValueError("argument slot repeats a variable")
         width = max(self.degree(), 1).bit_length()
         out: Dict[int, Fraction] = {}
+        blocks: dict = {}  # the slot blocks of this call
         for key, coeff in self.coeffs.items():
-            for code, c in self._precompose_key(key, assignment, out_arity, width).items():
+            for code, c in self._precompose_key(key, assignment, out_arity, width, blocks).items():
                 out[code] = out.get(code, 0) + coeff * c
         return type(self)(out_arity, {_decode(k, out_arity, width): v for k, v in out.items()})
 
     @classmethod
-    def _precompose_key(cls, key: Key, assignment, out_arity: int, width: int) -> Dict[int, int]:
-        # one basis function under a checked assignment, on codes of width >= bits of sum(key)
+    def _precompose_key(cls, key: Key, assignment, out_arity: int, width: int,
+                        blocks: dict) -> Dict[int, int]:
+        # one basis function under a checked assignment, on codes of width >= bits of sum(key);
+        # blocks holds the caller's slot blocks at this width, by (slot, e)
         partial: Dict[int, int] = {0: 1}
         used: set = set()
         for slot, e in zip(assignment, key):
             if e:
+                block = blocks.get((slot, e))
+                if block is None:
+                    block = blocks[slot, e] = cls._slot_block(slot, e, width)
                 shared = not used.isdisjoint(slot)
-                partial = cls._product(partial, cls._slot_block(slot, e, width),
-                                       out_arity, width, shared)
+                partial = cls._product(partial, block, out_arity, width, shared)
                 used.update(slot)
         return partial
 
@@ -287,10 +278,6 @@ class _Combo:
         raise NotImplementedError
 
     @staticmethod
-    def _basis_factor(value: Fraction, e: int) -> Fraction:
-        raise NotImplementedError
-
-    @staticmethod
     def _factor(name: str, e: int) -> str:
         raise NotImplementedError
 
@@ -327,10 +314,6 @@ class PolyFunc(_Combo):
         return _multinomial(total, comp)
 
     @staticmethod
-    def _basis_factor(value, e):
-        return value ** e
-
-    @staticmethod
     def _factor(name, e):
         return name if e == 1 else "%s^%d" % (name, e)
 
@@ -356,10 +339,6 @@ class MahlerFunc(_Combo):
     @staticmethod
     def _composition_coeff(total, comp):
         return 1
-
-    @staticmethod
-    def _basis_factor(value, e):
-        return _binom_value(value, e)
 
     @staticmethod
     def _factor(name, e):
@@ -509,13 +488,15 @@ def _pullback_rows(table, cls, source_keys, out_keys) -> List[List[int]]:
     width = max(1, *(sum(k) for keys in (source_keys, *out_keys) for k in keys)).bit_length()
     rows: List[List[int]] = []
     row_of: List[Dict[int, int]] = []  # per component: output code -> row index
+    blocks: dict = {}  # the slot blocks of this call; width is the same throughout
     for keys in out_keys:
         row_of.append({_encode(k, width): len(rows) + r for r, k in enumerate(keys)})
         rows.extend([0] * len(source_keys) for _ in keys)
     for j, key in enumerate(source_keys):
         for component, index, keys in zip(table, row_of, out_keys):
             for sign, _, slots in component:
-                for code, c in cls._precompose_key(key, slots, len(keys[0]), width).items():
+                for code, c in cls._precompose_key(key, slots, len(keys[0]), width,
+                                                   blocks).items():
                     rows[index[code]][j] += sign * c
     return rows
 
@@ -544,13 +525,13 @@ def symmetric_2cocycle_report(q: int) -> dict:
     _certify(rows, kernel, pivots, "symmetric 2-cocycles of degree %d" % q)
     basis = tuple(PolyFunc(2, {key: Fraction(a, q) for key, a in zip(source_keys, vec)})
                   for vec in kernel)
-    coboundary = pullback_d1(PolyFunc.variable(1, 0) ** q)
-    cob_dim = 0 if coboundary.is_zero() else 1
+    # d1*(x^q) = sum_{0<a<q} C(q,a) x^a y^(q-a) is the certified kernel
+    # vector, coefficient for coefficient: every cocycle is a coboundary
     return {
         "q": q,
         "cocycle_dim": len(basis),
-        "coboundary_dim": cob_dim,
-        "quotient_dim": len(basis) - cob_dim,
+        "coboundary_dim": len(kernel),
+        "quotient_dim": 0,
         "cocycle_basis": basis,
     }
 

@@ -12,12 +12,14 @@ and iota its contraction; on a strand of weight w, d.iota + iota.d = w.id
 identity and d o d = 0 are checked on every basis form, so every strand
 with w >= 1 is exact and its kernel dimensions are alternating sums of
 piece dimensions. The check holds d and iota once per form, one strand at
-a time.
+a time, and sums d(d f) and d(iota f) + iota(d f) in one pass over the
+terms of d f and iota f. A piece's forms are enumerated at O(n) per form,
+whatever the degree.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -79,21 +81,26 @@ def _decode(form: Form, n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(v for v in range(n) if fields[v] & 1), tuple(f >> 1 for f in fields)
 
 
-def _apply(op: Dict[Form, Vec], vec: Vec, out: Vec) -> Vec:
-    """Add op(vec) into out, op being given on basis forms."""
-    for f, c in vec.items():
-        for g, a in op[f].items():
-            out[g] = out.get(g, 0) + c * a
-    return out
-
-
 def _pieces(n: int, D: int) -> List[Tuple[int, int]]:
     return [(i, e) for i in range(0, n + 1) for e in range(0, D - i + 1)]
 
 
 def _forms(n: int, i: int, e: int) -> Tuple[Form, ...]:
-    xs = [sum(p) for p in combinations_with_replacement([2 << _F * v for v in range(n)], e)]
-    return tuple(sum(S) + x for S in combinations([1 << _F * v for v in range(n)], i) for x in xs)
+    """Piece (i, e): S in the order of combinations, then expo in descending lex
+    order (that of combinations_with_replacement). Each code is built once, by
+    one addition to a code in one variable fewer: O(n) steps per form."""
+    if n == 1:
+        xs = [2 * e]
+    else:  # rev[k]: x^expo of degree k in the variables from v on, ascending lex
+        rev = [[2 * k << _F * (n - 1)] for k in range(e + 1)]
+        for v in range(n - 2, 0, -1):
+            unit = 2 << _F * v
+            for k in range(e, 0, -1):  # rev[k - a] still holds variable v + 1's list
+                rev[k].extend(a * unit + x for a in range(1, k + 1) for x in rev[k - a])
+        xs = [2 * a + x for a in range(e, 0, -1) for x in reversed(rev[e - a])]
+        xs.extend(reversed(rev[e]))
+    return tuple(s + x for s in map(sum, combinations([1 << _F * v for v in range(n)], i))
+                 for x in xs)
 
 
 def _piece_dim(n: int, i: int, e: int) -> int:
@@ -161,13 +168,21 @@ def qp_cohomology(n: int, D: int) -> QpCohomology:
             strands.setdefault(i + e, []).extend(_forms(n, i, e))
     for w, forms in strands.items():
         # d and iota keep the weight: each strand is checked on its own maps
-        d = {f: _d(f) for f in forms}
-        iota = {f: _iota(f) for f in forms}
+        ops = {f: (_d(f), _iota(f)) for f in forms}
         for form in forms:
-            df = d[form]
+            dd: Vec = {}
+            lhs: Vec = {}  # d(iota f) + iota(d f), summed with d(d f) in one pass
+            df, iota_f = ops[form]
             try:
-                dd = _apply(d, df, {})
-                lhs = _apply(iota, df, _apply(d, iota[form], {}))
+                for g, c in df.items():
+                    dg, ig = ops[g]
+                    for h, a in dg.items():
+                        dd[h] = dd.get(h, 0) + c * a
+                    for h, a in ig.items():
+                        lhs[h] = lhs.get(h, 0) + c * a
+                for g, c in iota_f.items():
+                    for h, a in ops[g][0].items():
+                        lhs[h] = lhs.get(h, 0) + c * a
             except KeyError:
                 raise CertificateError("d or iota leaves the basis of weight %d at the form %r"
                                        % (w, _decode(form, n))) from None

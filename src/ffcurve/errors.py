@@ -1,4 +1,5 @@
-"""Typed errors of the library's checks and parser; the frozen record base."""
+"""Typed errors of the library's checks and parser; the frozen record base;
+the renderer of signed sums shared by Q[t] and the cocycle function spaces."""
 
 #: stores a field of a Frozen record from its __init__
 _set = object.__setattr__
@@ -34,6 +35,19 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+
+def _render_terms(pairs) -> str:
+    """Signed sum of nonzero (coefficient, basis text) pairs; "" is the unit."""
+    chunks = []
+    for coeff, text in pairs:
+        mag = abs(coeff)
+        body = str(mag) if not text else text if mag == 1 else "%s*%s" % (mag, text)
+        if not chunks:
+            chunks.append(body if coeff > 0 else "-" + body)
+        else:
+            chunks.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(chunks) or "0"
 
 
 class CertificateError(Exception):

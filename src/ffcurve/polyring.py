@@ -19,18 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Tuple
 
-
-def _render_terms(pairs) -> str:
-    """Signed sum of nonzero (coefficient, basis text) pairs; "" is the unit."""
-    chunks = []
-    for coeff, text in pairs:
-        mag = abs(coeff)
-        body = str(mag) if not text else text if mag == 1 else "%s*%s" % (mag, text)
-        if not chunks:
-            chunks.append(body if coeff > 0 else "-" + body)
-        else:
-            chunks.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(chunks) or "0"
+from .errors import _render_terms
 
 
 def _new(n: tuple, d: int) -> "Poly":

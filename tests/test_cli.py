@@ -407,11 +407,26 @@ def test_missing_argument(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["chi", "O(²)"], ["chi", "T(x,[¹])"], ["chi", "O(3)^²"], ["koszul", "²"],
+])
+def test_digits_int_cannot_read_are_parse_errors(capsys, argv):
+    # str.isdigit accepts superscripts, which int() refuses
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unexpected character" in err and "Traceback" not in err
+
+
+def test_decimal_digits_of_other_scripts_still_read(capsys):
+    assert run(capsys, "chi", "O(٣)") == run(capsys, "chi", "O(3)")
+    assert run(capsys, "chi", "T(x²,[1])")[0] == 0
+
+
 # the sheaf grammar's tokens and characters, and near-well-formed objects
 # with large integers, for the guard below
 _TOKENS = ["O", "T", "tilted", "inf", "x0", "(", ")", "[", "]", "[1]", "^", "+",
            ";", ",", "/", "-", "*", " ", "0", "1", "2", "7", "12", "999999999999"]
-_CHARS = "".join(sorted(set("".join(_TOKENS) + "∞_t")))
+_CHARS = "".join(sorted(set("".join(_TOKENS) + "∞_t²")))
 _INT = st.integers(-10**12, 10**12)
 _POS = st.one_of(st.integers(1, 10**12), _INT)
 _SUM = st.lists(

@@ -1,9 +1,10 @@
 """Pullback differentials of the length-3 resolution and cocycle spaces.
 
 Oracle policy: the bracket rules are transcribed independently here as
-pointwise evaluation formulas and compared against the symbolic operators
-on random points; kernel and quotient dimensions are frozen from hand
-expansion of small cases.  The kernels the reports certify from closed
+pointwise evaluation formulas (``_evaluate``, which the library does not
+carry) and compared against the symbolic operators on random points;
+kernel and quotient dimensions are frozen from hand expansion of small
+cases.  The kernels the reports certify from closed
 forms are compared with a Fraction RREF and with sympy's nullspace, and
 certificates with a flipped sign, an off-by-one kernel coefficient or a
 misplaced pivot must be refused.
@@ -12,8 +13,9 @@ misplaced pivot must be refused.
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -51,6 +53,29 @@ def _random_mahler(rng, arity, max_degree=3, n_terms=4):
     return MahlerFunc(arity, coeffs)
 
 
+def _basis_value(cls, value, e):
+    """x^e, or C(x, e) = x(x-1)...(x-e+1)/e! for a Mahler function."""
+    if cls is PolyFunc:
+        return value ** e
+    out = Fraction(1)
+    for i in range(e):
+        out *= value - i
+    return out / factorial(e)
+
+
+def _evaluate(f, point):
+    """Value of f at a rational point, summed term by term: the pointwise
+    oracle the symbolic operators are compared with."""
+    assert len(point) == f.arity
+    total = Fraction(0)
+    for key, coeff in f.coeffs.items():
+        term = coeff
+        for value, e in zip(point, key):
+            term *= _basis_value(type(f), Fraction(value), e)
+        total += term
+    return total
+
+
 def _points(rng, n, k):
     return [tuple(rng.randint(0, 5) for _ in range(k)) for _ in range(n)]
 
@@ -79,9 +104,7 @@ def test_poly_arithmetic_and_evaluation():
     assert square.degree() == 2
     assert (square - square).is_zero()
     assert PolyFunc.zero(2).degree() == -1
-    assert square.evaluate((3, Fraction(1, 2))) == Fraction(49, 4)
-    with pytest.raises(ValueError):
-        square.evaluate((1,))
+    assert _evaluate(square, (3, Fraction(1, 2))) == Fraction(49, 4)
     with pytest.raises(ValueError):
         x ** (-1)
 
@@ -139,8 +162,8 @@ def test_mahler_diagonal_precompose():
 
 def test_mahler_evaluation():
     f = Fraction(3, 2) * MahlerFunc.basis(2, (2, 1))
-    assert f.evaluate((4, 5)) == Fraction(3, 2) * 6 * 5
-    assert f.evaluate((Fraction(1, 2), 1)) == Fraction(3, 2) * Fraction(-1, 8)
+    assert _evaluate(f, (4, 5)) == Fraction(3, 2) * 6 * 5
+    assert _evaluate(f, (Fraction(1, 2), 1)) == Fraction(3, 2) * Fraction(-1, 8)
 
 
 def test_mahler_precompose_degree_behavior():
@@ -234,7 +257,7 @@ def test_random_precompose_matches_evaluation():
             g = f.precompose(slots, out_arity)
             for point in _points(rng, 4, out_arity):
                 args = tuple(sum(point[j] for j in slot) for slot in slots)
-                assert g.evaluate(point) == f.evaluate(args)
+                assert _evaluate(g, point) == _evaluate(f, args)
 
 
 @pytest.mark.parametrize("cls", [PolyFunc, MahlerFunc])
@@ -291,11 +314,32 @@ def test_coded_kernel_matches_tuple_kernel(cls):
             for _, source, slots in component:
                 for key in cocycles._keys_up_to(in_arities[source], 6):
                     width = max(sum(key), 1).bit_length()
-                    coded = cls._precompose_key(key, slots, out_arity, width)
+                    coded = cls._precompose_key(key, slots, out_arity, width, {})
                     got = [(cocycles._decode(c, out_arity, width), v) for c, v in coded.items()]
                     want = _tuple_precompose_key(cls, key, slots, out_arity)
                     assert got == list(want.items())
                     assert all(type(v) is int for _, v in got)
+
+
+@pytest.mark.parametrize("cls", [PolyFunc, MahlerFunc])
+def test_pullback_rows_build_each_slot_block_once_per_call(monkeypatch, cls):
+    real = cls._slot_block.__func__
+    calls = Counter()
+
+    def counted(klass, slot, e, width):
+        calls[slot, e] += 1
+        return real(klass, slot, e, width)
+
+    monkeypatch.setattr(cls, "_slot_block", classmethod(counted))
+    source = cocycles._keys_up_to(2, 5)
+    out = (cocycles._keys_up_to(3, 5), cocycles._keys_up_to(2, 5))
+    want = {(slots[v], e) for key in source for terms in cocycles._D2
+            for _, _, slots in terms for v, e in enumerate(key) if e}
+    for _ in range(2):  # the second call builds every block again
+        calls.clear()
+        cocycles._pullback_rows(cocycles._D2, cls, source, out)
+        assert set(calls) == want
+        assert max(calls.values()) == 1
 
 
 # ----------------------------------------------------------------- pullbacks
@@ -374,8 +418,8 @@ def test_pullback_d1_matches_pointwise_rule():
             f = make(rng, 1)
             g = pullback_d1(f)
             for a, b in _points(rng, 6, 2):
-                lhs = g.evaluate((a, b))
-                rhs = f.evaluate((a + b,)) - f.evaluate((a,)) - f.evaluate((b,))
+                lhs = _evaluate(g, (a, b))
+                rhs = _evaluate(f, (a + b,)) - _evaluate(f, (a,)) - _evaluate(f, (b,))
                 assert lhs == rhs
 
 
@@ -387,12 +431,12 @@ def test_pullback_d2_matches_pointwise_rule():
             three, two = pullback_d2(f)
 
             def F(*p):
-                return f.evaluate(p)
+                return _evaluate(f, p)
 
             for a, b, c in _points(rng, 6, 3):
-                assert three.evaluate((a, b, c)) == F(a + b, c) - F(b, c) - F(a, b + c) + F(a, b)
+                assert _evaluate(three, (a, b, c)) == F(a + b, c) - F(b, c) - F(a, b + c) + F(a, b)
             for a, b in _points(rng, 6, 2):
-                assert two.evaluate((a, b)) == F(a, b) - F(b, a)
+                assert _evaluate(two, (a, b)) == F(a, b) - F(b, a)
 
 
 def test_pullback_d3_matches_pointwise_rule():
@@ -404,29 +448,29 @@ def test_pullback_d3_matches_pointwise_rule():
             h4, h3a, h3b, h2, h1 = pullback_d3(f3, f2)
 
             def F3(*p):
-                return f3.evaluate(p)
+                return _evaluate(f3, p)
 
             def F2(*p):
-                return f2.evaluate(p)
+                return _evaluate(f2, p)
 
             for a, b, c, d in _points(rng, 5, 4):
-                assert h4.evaluate((a, b, c, d)) == (
+                assert _evaluate(h4, (a, b, c, d)) == (
                     -F3(b, c, d) + F3(a + b, c, d) - F3(a, b + c, d)
                     + F3(a, b, c + d) - F3(a, b, c)
                 )
             for a, b, c in _points(rng, 5, 3):
-                assert h3a.evaluate((a, b, c)) == (
+                assert _evaluate(h3a, (a, b, c)) == (
                     -F2(b, c) + F2(a + b, c) - F2(a, c)
                     - F3(a, b, c) + F3(a, c, b) - F3(c, a, b)
                 )
-                assert h3b.evaluate((a, b, c)) == (
+                assert _evaluate(h3b, (a, b, c)) == (
                     -F2(a, c) + F2(a, b + c) - F2(a, b)
                     + F3(a, b, c) - F3(b, a, c) + F3(b, c, a)
                 )
             for a, b in _points(rng, 5, 2):
-                assert h2.evaluate((a, b)) == F2(a, b) + F2(b, a)
+                assert _evaluate(h2, (a, b)) == F2(a, b) + F2(b, a)
             for (a,) in _points(rng, 5, 1):
-                assert h1.evaluate((a,)) == F2(a, a)
+                assert _evaluate(h1, (a,)) == F2(a, a)
 
 
 # ------------------------------------------------------------ cocycle spaces
@@ -470,6 +514,17 @@ def test_symmetric_cocycle_is_scaled_coboundary_through_degree_24():
     for q in range(2, 25):
         (f,) = symmetric_2cocycle_report(q)["cocycle_basis"]
         assert f.coeffs == {(a, q - a): Fraction(comb(q, a), q) for a in range(1, q)}
+
+
+def test_coboundary_line_is_the_certified_kernel_vector():
+    # the report reads the coboundary off its kernel; the pullback of x^q is
+    # the oracle: zero at q = 1, else q times the basis vector
+    for q in range(1, cocycles.MAX_COCYCLE_DEGREE + 1):
+        rep = symmetric_2cocycle_report(q)
+        coboundary = pullback_d1(PolyFunc.variable(1, 0) ** q)
+        assert rep["coboundary_dim"] == (0 if coboundary.is_zero() else 1)
+        assert coboundary.coeffs == {k: q * v for f in rep["cocycle_basis"]
+                                     for k, v in f.coeffs.items()}
 
 
 def test_symmetric_cocycle_rejects_bad_degree():

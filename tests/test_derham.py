@@ -282,6 +282,22 @@ def test_coded_forms_decode_to_the_tuple_formulas():
                 assert decoded(derham._iota(f), n) == tuple_iota(derham._decode(f, n))
 
 
+def forms_by_sums(n, i, e):
+    """The enumeration _forms replaced: each monomial summed from its e units."""
+    F = derham._F
+    xs = [sum(p) for p in combinations_with_replacement([2 << F * v for v in range(n)], e)]
+    return tuple(sum(S) + x for S in combinations([1 << F * v for v in range(n)], i) for x in xs)
+
+
+def test_forms_keep_the_codes_and_order_of_the_unit_sums():
+    for n in range(1, 5):
+        for i, e in derham._pieces(n, 12):
+            assert derham._forms(n, i, e) == forms_by_sums(n, i, e)
+    for n, D in ((1, 5000), (5000, 1)):
+        for i, e in derham._pieces(n, D):
+            assert derham._forms(n, i, e) == forms_by_sums(n, i, e)
+
+
 def test_coded_forms_hold_the_largest_exponents():
     # no exponent of a call exceeds D <= MAX_DERHAM_FORMS; decoding one
     # variable more shows that nothing spills into the next field
