@@ -11,11 +11,16 @@ is a list of integer numerators over one shared denominator, reduced by
 their gcd after each operation, and Fractions are built once, at the end.
 A field needs no remainder loop: the pivot is the first nonzero entry,
 rows below it are cleared by cross-multiplication, and its row is cleared
-by logging column operations that change that row alone.
+by logging column operations that change that row alone. So each logged
+operation touches one vector of the inverse transform while the vectors
+it reads are still unit vectors, and Uinv and Vinv are read off the logs
+entry by entry; only U and V are replayed.
 
 Q[t] entries are Poly values, which store their coefficients the same way:
 integer numerators over one denominator. So the Q[t] elimination and replays
-run on integers too, through Poly arithmetic.
+run on integers too, through Poly arithmetic. A matrix product entry, or an
+entry x + q*y of a row or column operation, is summed by polyring._mul_add,
+which puts it in canonical form once instead of once per operator.
 """
 
 from __future__ import annotations
@@ -25,16 +30,15 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Any, Sequence, Tuple
 
 from .errors import Frozen, _set
-from .polyring import Poly, poly_gcd
+from .polyring import Poly, _mul_add, poly_gcd
 
 
 class CoeffDomain:
-    """Shared interface; the three instances live at module level."""
+    """Shared part of the three domains, which live at module level. Each
+    also has convert, norm, canonical_unit (the unit u with u*a positive,
+    monic or 1), unit_inverse, gcd and element_to_json."""
 
     name = "?"
-
-    def convert(self, x):
-        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -42,26 +46,17 @@ class CoeffDomain:
     def divmod(self, a, b):
         return divmod(a, b)
 
-    def norm(self, a) -> int:
-        raise NotImplementedError
-
-    def canonical_unit(self, a):
-        """Unit u with u*a in canonical form (positive / monic / 1)."""
-        raise NotImplementedError
-
-    def unit_inverse(self, u):
-        raise NotImplementedError
-
-    def gcd(self, a, b):
-        raise NotImplementedError
-
     def divides(self, a, b) -> bool:
         if not a:
             return not b
         return not self.divmod(b, a)[1]
 
-    def element_to_json(self, a):
-        raise NotImplementedError
+    def dot(self, pairs):
+        """Σ a·b over the pairs (a, b)."""
+        acc = self.zero
+        for a, b in pairs:
+            acc = acc + a * b
+        return acc
 
     def __repr__(self):
         return self.name
@@ -160,6 +155,8 @@ class _PolyOverRationals(CoeffDomain):
     def gcd(self, a, b):
         return poly_gcd(a, b)
 
+    dot = staticmethod(_mul_add)
+
     def element_to_json(self, a):
         return a.to_json()
 
@@ -218,16 +215,16 @@ def identity(dom: CoeffDomain, n: int) -> Mat:
 def mat_mul(dom: CoeffDomain, A: Mat, B: Mat) -> Mat:
     if A.cols != B.rows:
         raise ValueError("shape mismatch %sx%s @ %sx%s" % (A.rows, A.cols, B.rows, B.cols))
-    out = []
+    # each entry is one dot product over the pairs of nonzero factors
+    brows = [[(j, b) for j, b in enumerate(row) if b] for row in B.data]
+    dot, zero, out = dom.dot, dom.zero, []
     for arow in A.data:
-        acc = [dom.zero] * B.cols
-        for a, brow in zip(arow, B.data):
-            if not a:
-                continue
-            for j, b in enumerate(brow):
-                if b:
-                    acc[j] = acc[j] + a * b
-        out.append(tuple(acc))
+        pairs = [[] for _ in range(B.cols)]
+        for a, brow in zip(arow, brows):
+            if a:
+                for j, b in brow:
+                    pairs[j].append((a, b))
+        out.append(tuple(dot(p) if p else zero for p in pairs))
     return Mat(A.rows, B.cols, tuple(out))
 
 
@@ -263,14 +260,15 @@ class SmithForm(Frozen):
 
 
 def _row_op(M: list, kind: str, i: int, j: int, q) -> None:
-    """swap rows i and j, add q times row j to row i, or scale row i by q."""
+    """swap rows i and j, add q times row j to row i, or scale row i by q.
+    A Poly q adds through _mul_add, one canonical form per entry."""
     if kind == "swap":
         M[i], M[j] = M[j], M[i]
     elif kind == "add":
-        ri = M[i]
+        ri, fused = M[i], q.__class__ is Poly
         for k, x in enumerate(M[j]):
             if x:
-                ri[k] = ri[k] + q * x
+                ri[k] = _mul_add(((q, x),), ri[k]) if fused else ri[k] + q * x
     else:
         M[i] = [q * x if x else x for x in M[i]]
 
@@ -281,9 +279,10 @@ def _col_op(M: list, kind: str, i: int, j: int, q) -> None:
         for r in M:
             r[i], r[j] = r[j], r[i]
     elif kind == "add":
+        fused = q.__class__ is Poly
         for r in M:
             if r[i]:
-                r[j] = r[j] + q * r[i]
+                r[j] = _mul_add(((q, r[i]),), r[j]) if fused else r[j] + q * r[i]
     else:
         for r in M:
             if r[i]:
@@ -409,14 +408,14 @@ def _replay(dom: CoeffDomain, n: int, log, op, inverse_op) -> Tuple[Mat, Mat]:
 def replay_rows(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
     """(U, Uinv) of E: U takes the row operations, Uinv their inverses on columns."""
     if dom is RATIONALS:
-        return _q_replay(E.S.rows, E.rows, True)
+        return _q_transforms(E.S.rows, E.rows, True)
     return _replay(dom, E.S.rows, E.rows, _row_op, _col_op)
 
 
 def replay_cols(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
     """(V, Vinv) of E: V takes the column operations, Vinv their inverses on rows."""
     if dom is RATIONALS:
-        return _q_replay(E.S.cols, E.cols, False)
+        return _q_transforms(E.S.cols, E.cols, False)
     return _replay(dom, E.S.cols, E.cols, _col_op, _row_op)
 
 
@@ -497,30 +496,36 @@ def _q_elimination(A: Mat) -> SmithElimination:
     return SmithElimination(Mat(m, n, _q_fractions(S)), t, tuple(rows), tuple(cols))
 
 
-def _q_replay(n: int, log, by_rows: bool) -> Tuple[Mat, Mat]:
-    """_replay over Q. P is kept as the vectors its operations act on (rows
-    for a row log, columns for a column log), P^-1 as the other kind, so that
-    each operation changes one vector on each side."""
+def _q_transforms(n: int, log, by_rows: bool) -> Tuple[Mat, Mat]:
+    """_replay over Q. P is replayed on the vectors its operations act on
+    (rows for a row log, columns for a column log). P^-1, kept as the other
+    kind, is read off the log: step c of the elimination changes only vector
+    c there, and only from vectors after c, which until their own step are
+    the unit vectors at pos[...], moved by the swaps alone. So each add
+    writes the one entry q' and each scale multiplies one vector."""
+    zero, one = RATIONALS.zero, RATIONALS.one
     P = [([int(i == k) for k in range(n)], 1) for i in range(n)]
-    Pinv = [([int(i == k) for k in range(n)], 1) for i in range(n)]
+    Pinv = [[one if i == k else zero for k in range(n)] for i in range(n)]
+    pos = list(range(n))
     for kind, i, j, q, qinv in log:
         if kind == "swap":
             P[i], P[j] = P[j], P[i]
             Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
+            pos[i], pos[j] = pos[j], pos[i]
         elif kind == "scale":
             P[i] = _q_scaled(P[i], q)
-            Pinv[i] = _q_scaled(Pinv[i], qinv)
+            Pinv[i] = [x * qinv if x else x for x in Pinv[i]]
         else:
             # a row operation adds q times row j to row i, a column operation
             # q times column i to column j; the inverse adds the other way
             dst, src = (i, j) if by_rows else (j, i)
             P[dst] = _q_axpy(P[dst], q, P[src])
-            Pinv[src] = _q_axpy(Pinv[src], qinv, Pinv[dst])
-    P, Pinv = _q_fractions(P), _q_fractions(Pinv)
+            Pinv[src][pos[dst]] = qinv
+    P = _q_fractions(P)
     if by_rows:
         Pinv = tuple(zip(*Pinv))
     else:
-        P = tuple(zip(*P))
+        P, Pinv = tuple(zip(*P)), tuple(map(tuple, Pinv))
     return Mat(n, n, P), Mat(n, n, Pinv)
 
 

@@ -8,9 +8,11 @@ A polynomial is stored as a tuple of integer numerators over one positive
 denominator, in canonical form: no trailing zero numerator, the denominator
 coprime to the numerators, and zero as ((), 1). Equal polynomials therefore
 have equal fields, and all arithmetic runs on integers; Fractions are built
-only when coeffs is read. Division is pseudo-division on the integer rows,
-and the gcd a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
-§4.6.1; Brown 1971, J. ACM 18).
+only when coeffs is read. A sum of products, such as a matrix product
+entry or x + q*y, is added up on those rows by _mul_add and put in
+canonical form once. Division is pseudo-division on the integer rows, and
+the gcd a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, §4.6.1;
+Brown 1971, J. ACM 18).
 """
 
 from __future__ import annotations
@@ -41,6 +43,36 @@ def _canon(n: list, d: int) -> "Poly":
         n = [x // g for x in n]
         d //= g
     return _new(tuple(n), d)
+
+
+def _mul_add(pairs, acc: "Poly" = None) -> "Poly":
+    """acc + Σ a·b over the Poly pairs (a, b), acc zero if None, added on the
+    integer rows and put in canonical form once, not twice per term."""
+    out, d = (list(acc._n), acc._d) if acc is not None else ([], 1)
+    for a, b in pairs:
+        an, bn, e = a._n, b._n, a._d * b._d
+        if out and d % e:
+            # reduced first, as a * b is: the factor its denominator shares
+            # with its numerators would otherwise scale the sum so far
+            p = a * b
+            an, bn, e = (1,), p._n, p._d
+        # over lcm(d, e): the sum so far times e/g, this product times d/g
+        m = e // gcd(d, e)
+        if m != 1:
+            out = [x * m for x in out]
+            d *= m
+        if len(an) > len(bn):
+            an, bn = bn, an
+        f = d // e
+        if f != 1:
+            an = [x * f for x in an]
+        out += [0] * (len(an) + len(bn) - 1 - len(out))
+        for i, x in enumerate(an):
+            if x:
+                for k, y in enumerate(bn, i):
+                    if y:
+                        out[k] += x * y
+    return _canon(out, d)
 
 
 def _pseudo_divide(a: tuple, b: tuple, quotient: bool):
@@ -181,18 +213,10 @@ class Poly:
             return _ZERO
         if len(b) == 1:
             a, b = b, a
-        if len(a) == 1:
-            x = a[0]
-            out = [x * y for y in b]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if not x:
-                    continue
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] += x * y
-        return _canon(out, self._d * q._d)
+        if len(a) > 1:
+            return _mul_add(((self, q),))
+        x = a[0]
+        return _canon([x * y for y in b], self._d * q._d)
 
     __rmul__ = __mul__
 

@@ -289,6 +289,29 @@ def test_decalage_integer_single():
     assert decalage(koszul(INTEGERS, (6,)), 2, delta) == koszul(INTEGERS, (3,))
 
 
+def test_decalage_over_rationals_is_pinned():
+    # over a field f is a unit, so eta_f K is K again in the bases of the
+    # Smith forms of its differentials; these two are the only callers of
+    # RATIONALS.gcd (the gcd of an invariant factor with f^c)
+    K = koszul(RATIONALS, (Fraction(2), Fraction(-3, 2), Fraction(5)))
+    delta = ShiftProfile.identity(0, K.highest)
+    E = decalage(K, Fraction(3), delta)
+    want = (
+        ((0,), (0,), (5,)),
+        ((0, 0, 0), (-5, Fraction(20, 3), 0), (0, -5, 0)),
+        ((5, 0, 0),),
+    )
+    assert E == BoundedComplex(RATIONALS, 0, K.ranks, tuple(mat(RATIONALS, d) for d in want))
+    assert all(type(x) is Fraction for d in E.differentials for row in d.data for x in row)
+    assert cohomology(E) == cohomology(K)
+    for c in (Fraction(1), Fraction(-2, 7)):
+        comps = tuple(mat(RATIONALS, [[c if i == j else 0 for j in range(r)] for i in range(r)])
+                      for r in K.ranks)
+        psi = decalage_map(ChainMap(K, K, comps), 3, delta)
+        assert psi.source == psi.target == E
+        assert psi.components == comps
+
+
 # ------------------------------------------------------------------ chain maps
 
 

@@ -13,6 +13,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffcurve import exactalg
+from ffcurve.complexes import koszul
 from ffcurve.exactalg import (
     INTEGERS,
     POLY_OVER_RATIONALS,
@@ -27,7 +29,7 @@ from ffcurve.exactalg import (
     smith_normal_form,
     zeros,
 )
-from ffcurve.polyring import Poly, T_VAR, poly_gcd
+from ffcurve.polyring import Poly, T_VAR, _mul_add, poly_gcd
 
 from gen import DOMAINS, mat_from_json, random_element, random_mat
 
@@ -719,6 +721,168 @@ def test_rational_smith_form_n20_matches_dense_loops():
     assert got.rank == want.rank == 20
     for name in ("S", "U", "Uinv", "V", "Vinv"):
         assert _typed(getattr(got, name)) == _typed(getattr(want, name))
+
+
+# ------------------------------------------ fused sums and logged inverses
+#
+# Q[t] sums of products (matrix product entries, x + q*y in a row or column
+# operation) go through polyring._mul_add, with one canonical form per sum,
+# and over Q the inverse transforms are read off the elimination log instead
+# of being replayed.  The oracles are the operator loop acc + a*b
+# (_dense_mat_mul above) and, below, the replay of both sides of a Q log
+# that the read-off replaced.
+
+# denominators of the entries: none, small primes, and one past 10^12
+_DENOMINATORS = ((1,), (1, 2, 3, 7), (1, 10**12 + 39))
+
+
+def _fraction(rng, dens):
+    return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+
+def _poly(rng, dens):
+    return Poly([_fraction(rng, dens) for _ in range(rng.randint(0, 3))])
+
+
+def _rational_mat(rng, m, n, density, dens):
+    return mat(RATIONALS, [
+        [_fraction(rng, dens) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ], n)
+
+
+def _poly_mat(rng, m, n, density, dens):
+    return Mat(m, n, tuple(
+        tuple(_poly(rng, dens) if rng.random() < density else Poly() for _ in range(n))
+        for _ in range(m)
+    ))
+
+
+def _replayed_q_transforms(n, log, by_rows):
+    """The Q replay as it was: both P and P^-1 replayed, one integer vector
+    over one denominator per row or column, an axpy per add on each side."""
+    P = [([int(i == k) for k in range(n)], 1) for i in range(n)]
+    Pinv = [([int(i == k) for k in range(n)], 1) for i in range(n)]
+    for kind, i, j, q, qinv in log:
+        if kind == "swap":
+            P[i], P[j] = P[j], P[i]
+            Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
+        elif kind == "scale":
+            P[i] = exactalg._q_scaled(P[i], q)
+            Pinv[i] = exactalg._q_scaled(Pinv[i], qinv)
+        else:
+            dst, src = (i, j) if by_rows else (j, i)
+            P[dst] = exactalg._q_axpy(P[dst], q, P[src])
+            Pinv[src] = exactalg._q_axpy(Pinv[src], qinv, Pinv[dst])
+    P, Pinv = exactalg._q_fractions(P), exactalg._q_fractions(Pinv)
+    if by_rows:
+        Pinv = tuple(zip(*Pinv))
+    else:
+        P = tuple(zip(*P))
+    return Mat(n, n, P), Mat(n, n, Pinv)
+
+
+def test_mul_add_matches_operator_sums():
+    rng = random.Random(73)
+    for dens in _DENOMINATORS:
+        for _ in range(150):
+            pairs = [(_poly(rng, dens), _poly(rng, dens)) for _ in range(rng.randint(0, 4))]
+            acc = _poly(rng, dens) if rng.random() < 0.5 else None
+            want = acc if acc is not None else Poly()
+            for a, b in pairs:
+                want = want + a * b
+            got = _mul_add(pairs, acc)
+            assert (got, got.coeffs) == (want, want.coeffs)
+            assert all(type(c) is Fraction for c in got.coeffs)
+            # sums that cancel: the pairs against their negatives, and acc - a*b + a*b
+            assert _mul_add(pairs + [(-a, b) for a, b in pairs]) == Poly()
+            if pairs and acc is not None:
+                a, b = pairs[0]
+                assert _mul_add([(-a, b), (a, b)], acc) == acc
+                assert _mul_add([(a, b)], -(a * b)) == Poly()
+
+
+def test_poly_mat_mul_with_denominators_matches_dense_loop():
+    rng = random.Random(79)
+    for dens in _DENOMINATORS:
+        for m, n, density in _kernel_cases(POLY_OVER_RATIONALS, rng, 20):
+            k = rng.randint(0, _KERNEL_SIZES[POLY_OVER_RATIONALS])
+            A = _poly_mat(rng, m, k, density, dens)
+            B = _poly_mat(rng, k, n, density, dens)
+            got = mat_mul(POLY_OVER_RATIONALS, A, B)
+            want = _dense_mat_mul(POLY_OVER_RATIONALS, A, B)
+            assert got == want and _typed(got) == _typed(want)
+        # d o d of a Koszul complex: every entry is a sum that cancels to zero
+        K = koszul(POLY_OVER_RATIONALS, [_poly(rng, dens) + T_VAR**3 for _ in range(4)])
+        for d0, d1 in zip(K.differentials, K.differentials[1:]):
+            got = mat_mul(POLY_OVER_RATIONALS, d1, d0)
+            assert got == zeros(POLY_OVER_RATIONALS, d1.rows, d0.cols)
+            assert got == _dense_mat_mul(POLY_OVER_RATIONALS, d1, d0)
+
+
+def test_poly_smith_form_with_denominators_matches_dense_loops():
+    # the elimination and both replays add rows and columns through _mul_add
+    rng = random.Random(83)
+    for dens in _DENOMINATORS[1:]:
+        for m, n, density in _kernel_cases(POLY_OVER_RATIONALS, rng, 15):
+            m, n = min(m, 6), min(n, 6)
+            A = _poly_mat(rng, m, n, density, dens)
+            S, rank, rows, cols = _generic_smith_elimination(POLY_OVER_RATIONALS, A)
+            E = smith_elimination(POLY_OVER_RATIONALS, A)
+            assert (E.S, E.rank, E.rows, E.cols) == (S, rank, rows, cols)
+            got = smith_normal_form(POLY_OVER_RATIONALS, A)
+            want = _dense_smith_normal_form(POLY_OVER_RATIONALS, A)
+            assert got == want, (dens, m, n, density)
+
+
+def test_q_inverse_transforms_match_the_replayed_ones():
+    rng = random.Random(89)
+    deficient = 0
+    for dens in _DENOMINATORS:
+        mats = [_rational_mat(rng, m, n, density, dens)
+                for m, n, density in _kernel_cases(RATIONALS, rng, 60)]
+        # rank-deficient: products through r < min(m, n) columns
+        for _ in range(20):
+            m, n = rng.randint(2, 9), rng.randint(2, 9)
+            r = rng.randint(1, min(m, n) - 1)
+            mats.append(mat_mul(RATIONALS, _rational_mat(rng, m, r, 1.0, dens),
+                                _rational_mat(rng, r, n, 1.0, dens)))
+        for A in mats:
+            E = smith_elimination(RATIONALS, A)
+            deficient += E.rank < min(A.rows, A.cols)
+            for got, want in (
+                (exactalg.replay_rows(RATIONALS, E), _replayed_q_transforms(A.rows, E.rows, True)),
+                (exactalg.replay_cols(RATIONALS, E), _replayed_q_transforms(A.cols, E.cols, False)),
+            ):
+                assert got == want, (dens, A.rows, A.cols)
+                assert [_typed(M) for M in got] == [_typed(M) for M in want]
+    assert deficient >= 60
+
+
+def test_q_smith_form_replays_one_axpy_per_logged_add(monkeypatch):
+    # the inverses are read off the log, so each add is replayed on U or V
+    # alone; the elimination itself runs one axpy per row add
+    calls = []
+    real = exactalg._q_axpy
+
+    def counting(a, q, b):
+        calls.append(q)
+        return real(a, q, b)
+
+    monkeypatch.setattr(exactalg, "_q_axpy", counting)
+    rng = random.Random(97)
+    for m, n, density in _kernel_cases(RATIONALS, rng, 30):
+        A = _rational_mat(rng, m, n, density, (1, 2, 3, 7))
+        E = smith_elimination(RATIONALS, A)
+        row_adds = sum(op[0] == "add" for op in E.rows)
+        col_adds = sum(op[0] == "add" for op in E.cols)
+        calls.clear()
+        smith_normal_form(RATIONALS, A)
+        assert len(calls) == row_adds + (row_adds + col_adds)
+        calls.clear()
+        exactalg.replay_rows(RATIONALS, E)
+        exactalg.replay_cols(RATIONALS, E)
+        assert len(calls) == row_adds + col_adds
 
 
 def test_divides_matches_remainder():
