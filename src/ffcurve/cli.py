@@ -7,7 +7,12 @@ writes the HN polygon as a standalone SVG file.
 
 The module itself loads no library module but ``errors``: each verb imports
 the modules it runs, and no verb loads ``dataclasses`` or ``inspect``. With no
-bytecode cache, a cold ``ffcurve <verb>`` compiles everything it imports afresh.
+bytecode cache, a cold ``ffcurve <verb>`` compiles everything it imports afresh,
+so a call pays only for its own verb. ``main`` builds, from the one verb table
+``_VERBS``, the subparser of the verb that argv starts with and no other; help,
+an unknown verb or a leading option get all of them. Sheaf verbs load no
+``polyring``, and chi, k0, hn and ext2 no ``fractions`` either: slopes compare
+by integer products. ``json`` loads only to print a ``--json`` envelope.
 
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,
@@ -16,7 +21,6 @@ a certificate that fails to verify, or an output file that cannot be written.
 """
 
 import argparse
-import json
 import sys
 from functools import partial
 
@@ -41,6 +45,7 @@ class UsageError(Exception):
 
 def _emit(args, command: str, lines, payload: dict) -> None:
     if args.json:
+        import json
         envelope = {"schema": SCHEMA, "command": command}
         envelope.update(payload)
         print(json.dumps(envelope, indent=2, sort_keys=False))
@@ -505,7 +510,50 @@ def cmd_cocycle(args) -> None:
 # ------------------------------------------------------------------- dispatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **options):
+    return names, options
+
+
+_OBJECT = (_arg("object"),)
+_PAIR = (_arg("first"), _arg("second"))
+_ELEMENTS = (_arg("elements", nargs="+"),)
+
+#: name, handler, help and arguments of each verb, in the order of the usage line
+_VERBS = (
+    ("info", cmd_info, "full invariant report for one object", _OBJECT),
+    ("hn", cmd_hn, "HN pieces and polygon of a sheaf",
+     _OBJECT + (_arg("--svg", metavar="FILE", help="write the polygon as SVG"),)),
+    ("hom", partial(_binary_verb, name="hom"), "hom invariant of two sheaves", _PAIR),
+    ("ext1", partial(_binary_verb, name="ext1"), "ext^1 invariant of two sheaves", _PAIR),
+    ("ext2", partial(_binary_verb, name="ext2"), "ext^2 invariant of two sheaves", _PAIR),
+    ("chi", cmd_chi, "Euler characteristic (degree, rank)", _OBJECT),
+    ("k0", cmd_k0, "class in K_0 on the basis [O], [O(1)]", _OBJECT),
+    ("tilt", cmd_tilt, "move a sheaf into the tilted heart", _OBJECT),
+    ("untilt", cmd_untilt, "recover the sheaf under a double tilt", _OBJECT),
+    ("hnminus", cmd_hnminus, "tilted-slope HN pieces", _OBJECT),
+    ("bc", cmd_bc, "vector-group descriptor of a heart object", _OBJECT),
+    ("present", cmd_present, "two-term slope-[0,1] presentation", _OBJECT),
+    ("breen", cmd_breen, "hom/ext tables for the two group generators", ()),
+    ("koszul", cmd_koszul, "Koszul complex on polynomials in t", _ELEMENTS),
+    ("cohom", cmd_cohom, "cohomology of that Koszul complex", _ELEMENTS),
+    ("eta", cmd_eta, "decalage of a Koszul complex along f", (_arg("f"),) + _ELEMENTS),
+    ("derham", cmd_derham, "graded de Rham tables in n variables",
+     (_arg("n", type=int), _arg("--trunc", type=int, default=6, metavar="D"))),
+    ("cocycle", cmd_cocycle, "symmetric 2-cocycle space by degree", (
+        _arg("q", nargs="?", type=int, default=None),
+        _arg("--report", action="store_true", help="run the resolution column checks instead"),
+        _arg("--trunc", type=int, default=None, metavar="D"),
+    )),
+)
+
+
+def _build_parser(verbs, only=None) -> argparse.ArgumentParser:
+    """The parser over the verb table: with only one of its verbs, that
+    verb's subparser alone, else all of them. The one-verb usage line must
+    still list every verb, as "unrecognized arguments" prints it, so its
+    metavar writes the braces that argparse writes for the full build. The
+    full build sets none: a metavar would also name the verb argument in its
+    "invalid choice" and "required" errors."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -513,61 +561,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ffcurve",
         description="coherent sheaves on the curve: slopes, tilts, descriptors",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, help_text):
+    names = [verb[0] for verb in verbs]
+    if only in names:
+        sub = parser.add_subparsers(dest="verb", required=True,
+                                    metavar="{%s}" % ",".join(names))
+        verbs = [verbs[names.index(only)]]
+    else:
+        sub = parser.add_subparsers(dest="verb", required=True)
+    for name, func, help_text, arguments in verbs:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = add("info", cmd_info, "full invariant report for one object")
-    p.add_argument("object")
-    p = add("hn", cmd_hn, "HN pieces and polygon of a sheaf")
-    p.add_argument("object")
-    p.add_argument("--svg", metavar="FILE", help="write the polygon as SVG")
-    for name, help_text in (
-        ("hom", "hom invariant of two sheaves"),
-        ("ext1", "ext^1 invariant of two sheaves"),
-        ("ext2", "ext^2 invariant of two sheaves"),
-    ):
-        p = add(name, partial(_binary_verb, name=name), help_text)
-        p.add_argument("first")
-        p.add_argument("second")
-    p = add("chi", cmd_chi, "Euler characteristic (degree, rank)")
-    p.add_argument("object")
-    p = add("k0", cmd_k0, "class in K_0 on the basis [O], [O(1)]")
-    p.add_argument("object")
-    p = add("tilt", cmd_tilt, "move a sheaf into the tilted heart")
-    p.add_argument("object")
-    p = add("untilt", cmd_untilt, "recover the sheaf under a double tilt")
-    p.add_argument("object")
-    p = add("hnminus", cmd_hnminus, "tilted-slope HN pieces")
-    p.add_argument("object")
-    p = add("bc", cmd_bc, "vector-group descriptor of a heart object")
-    p.add_argument("object")
-    p = add("present", cmd_present, "two-term slope-[0,1] presentation")
-    p.add_argument("object")
-    add("breen", cmd_breen, "hom/ext tables for the two group generators")
-    p = add("koszul", cmd_koszul, "Koszul complex on polynomials in t")
-    p.add_argument("elements", nargs="+")
-    p = add("cohom", cmd_cohom, "cohomology of that Koszul complex")
-    p.add_argument("elements", nargs="+")
-    p = add("eta", cmd_eta, "decalage of a Koszul complex along f")
-    p.add_argument("f")
-    p.add_argument("elements", nargs="+")
-    p = add("derham", cmd_derham, "graded de Rham tables in n variables")
-    p.add_argument("n", type=int)
-    p.add_argument("--trunc", type=int, default=6, metavar="D")
-    p = add("cocycle", cmd_cocycle, "symmetric 2-cocycle space by degree")
-    p.add_argument("q", nargs="?", type=int, default=None)
-    p.add_argument("--report", action="store_true",
-                   help="run the resolution column checks instead")
-    p.add_argument("--trunc", type=int, default=None, metavar="D")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(_VERBS, argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

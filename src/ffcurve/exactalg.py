@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Any, Sequence, Tuple
 
-from .errors import Frozen, _set
+from .errors import CertificateError, Frozen, _set
 from .polyring import Poly, _mul_add, poly_gcd
 
 
@@ -303,6 +303,14 @@ class SmithElimination(Frozen):
     invariant_factors = SmithForm.invariant_factors
 
 
+def _check_remainder(dom: CoeffDomain, r, pivot) -> None:
+    """The entry r left by a division step, about to become the pivot, must
+    be nonzero and of smaller norm: else the Euclid loop need not end."""
+    if not 0 < dom.norm(r) < dom.norm(pivot):
+        raise CertificateError("Smith elimination: a remainder of norm %d cannot "
+                               "replace a pivot of norm %d" % (dom.norm(r), dom.norm(pivot)))
+
+
 def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
     """Smith normal form of A as S, its rank and the logs; no transform is built."""
     if dom is RATIONALS:
@@ -346,6 +354,11 @@ def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
             row("swap", t, bi)
         if bj != t:
             col("swap", t, bj)
+        # The loop ends because each swap brings in the remainder of a division
+        # step, of smaller norm than the pivot, and a stray-row add leaves one
+        # for the column pass to swap in. Both are checked: wrong arithmetic
+        # raises CertificateError instead of looping.
+        stray_added = False
         while True:
             dirty = False
             for i in range(t + 1, m):
@@ -355,23 +368,28 @@ def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
                 if q:
                     row("add", i, t, -q, q)
                 if r:
+                    _check_remainder(dom, S[i][t], S[t][t])
                     row("swap", t, i)
                     dirty = True
                     break
+            if not dirty:
+                for j in range(t + 1, n):
+                    if not S[t][j]:
+                        continue
+                    q, r = dom.divmod(S[t][j], S[t][t])
+                    if q:
+                        col("add", t, j, -q, q)
+                    if r:
+                        _check_remainder(dom, S[t][j], S[t][t])
+                        col("swap", t, j)
+                        dirty = True
+                        break
             if dirty:
+                stray_added = False
                 continue
-            for j in range(t + 1, n):
-                if not S[t][j]:
-                    continue
-                q, r = dom.divmod(S[t][j], S[t][t])
-                if q:
-                    col("add", t, j, -q, q)
-                if r:
-                    col("swap", t, j)
-                    dirty = True
-                    break
-            if dirty:
-                continue
+            if stray_added:
+                raise CertificateError("Smith elimination: the stray row added at pivot %d "
+                                       "left no remainder to swap in" % t)
             # pivot must divide the rest of the submatrix; a unit (norm 1) does
             p = S[t][t]
             if dom.norm(p) == 1:
@@ -387,6 +405,7 @@ def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
             if stray is None:
                 break
             row("add", t, stray, dom.one, -dom.one)
+            stray_added = True
         u = dom.canonical_unit(S[t][t])
         if u != dom.one:
             row("scale", t, None, u, dom.unit_inverse(u))

@@ -15,14 +15,13 @@ equal objects.  Errors carry the offending position in the input string.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .polyring import Poly, T_VAR
 
 if TYPE_CHECKING:
+    from .polyring import Poly
     from .sheaves import CoherentSheaf, TiltedObject
 
 
@@ -35,6 +34,15 @@ def _sheaves():
     from . import sheaves
 
     return sheaves
+
+
+@cache
+def _polyring():
+    """The polyring module, imported by the first Q[t] parse, so that sheaf
+    parses compile none of it; kept for the reason _sheaves gives."""
+    from . import polyring
+
+    return polyring
 
 
 _SYMBOLS = set("()[]^+;,/-*")
@@ -277,6 +285,7 @@ class _Parser:
         return base
 
     def poly_base(self) -> Poly:
+        polyring = _polyring()
         tok = self.peek()
         if tok[0] == "number":
             self.advance()
@@ -287,11 +296,12 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     self.fail("zero denominator", den_tok[2])
-                return Poly.const(Fraction(value, den))
-            return Poly.const(value)
+                from fractions import Fraction
+                return polyring.Poly.const(Fraction(value, den))
+            return polyring.Poly.const(value)
         if tok[0] == "name" and tok[1] == "t":
             self.advance()
-            return T_VAR
+            return polyring.T_VAR
         if tok[0] == "(":
             self.advance()
             node = self.poly_expr()

@@ -8,12 +8,14 @@ directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import CertificateError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @total_ordering
@@ -48,6 +50,7 @@ class Slope:
     def value(self) -> Fraction:
         if self.h == 0:
             raise ValueError("the infinite slope has no rational value")
+        from fractions import Fraction
         return Fraction(self.d, self.h)
 
     def __eq__(self, other):
@@ -58,16 +61,12 @@ class Slope:
     def __hash__(self):
         return hash((self.d, self.h))
 
-    def _key(self):
-        # (0, value) for finite, (1, 0) for infinity: total order, inf maximal
-        if self.h == 0:
-            return (1, Fraction(0))
-        return (0, Fraction(self.d, self.h))
-
     def __lt__(self, other):
         if not isinstance(other, Slope):
             return NotImplemented
-        return self._key() < other._key()
+        # d1/h1 < d2/h2 iff d1*h2 < d2*h1, as h >= 1; INFINITY is 1/0, so the
+        # same product puts it above every finite slope and not below itself
+        return self.d * other.h < other.d * self.h
 
     def __str__(self) -> str:
         if self.h == 0:

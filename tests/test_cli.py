@@ -549,3 +549,47 @@ def test_verb_loads_only_what_it_runs(verb):
 
 def test_usage_error_loads_no_engine():
     assert _loaded("cocycle") == (2, _LEAN)
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGV))
+def test_one_verb_build_gives_the_full_builds_subparser(verb):
+    one, full = cli._build_parser(cli._VERBS, verb), cli._build_parser(cli._VERBS)
+    assert list(_subparsers(one)) == [verb]
+    assert list(_subparsers(full)) == [name for name, *_ in cli._VERBS]
+    for method in ("format_usage", "format_help"):
+        assert getattr(_subparsers(one)[verb], method)() == getattr(_subparsers(full)[verb], method)()
+    # "unrecognized arguments" prints the top-level usage, with every verb in it
+    assert one.format_usage() == full.format_usage()
+
+
+def _usage_corpus():
+    for verb in sorted(_VERB_ARGV):
+        args = _VERB_ARGV[verb]
+        yield [verb, "--help"]
+        yield [verb]
+        yield [verb, *args, "extra"]
+        if verb != "hn":
+            yield [verb, *args, "--svg", "x"]
+    yield from (["cocycle", "3", "--report"], ["derham", "x"], ["hom", "O(1)"],
+                [], ["nope", "O"], ["-h"], ["--json", "chi", "O"])
+
+
+def test_one_verb_build_prints_what_the_full_build_prints(capsys, monkeypatch):
+    corpus = list(_usage_corpus())
+    one = [run(capsys, *argv) for argv in corpus]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda verbs, only=None: build(verbs))
+    full = [run(capsys, *argv) for argv in corpus]
+    for argv, got, want in zip(corpus, one, full):
+        assert got == want, argv
+    # the corpus reaches both usage lines and every kind of argparse exit
+    assert {code for code, _, _ in full} == {0, 2}
+    assert any("unrecognized arguments" in err for _, _, err in full)
+    # the full build names the verb argument "verb", not by a list of choices
+    errors = dict(zip(map(tuple, corpus), (err for _, _, err in full)))
+    assert "error: argument verb: invalid choice: 'nope'" in errors[("nope", "O")]
+    assert errors[()].endswith("error: the following arguments are required: verb\n")

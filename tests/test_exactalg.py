@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffcurve import exactalg
 from ffcurve.complexes import koszul
+from ffcurve.errors import CertificateError
 from ffcurve.exactalg import (
     INTEGERS,
     POLY_OVER_RATIONALS,
@@ -895,6 +896,43 @@ def test_divides_matches_remainder():
                 assert dom.divides(a, b) == dom.is_zero(b)
             else:
                 assert dom.divides(a, b) == dom.is_zero(dom.divmod(b, a)[1])
+
+
+class _CountedIntegers(exactalg._Integers):
+    """INTEGERS with a divmod that fails the test, not the run, if it is
+    called past a budget: a Euclid loop without a progress check would spin."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def divmod(self, a, b):
+        self.calls += 1
+        assert self.calls < 100, "smith_elimination keeps dividing"
+        return super().divmod(a, b)
+
+
+def test_smith_elimination_raises_on_a_remainder_that_does_not_shrink():
+    class NoQuotient(_CountedIntegers):
+        def divmod(self, a, b):
+            super().divmod(a, b)
+            return 0, a  # the remainder is the dividend: no Euclid step
+
+    for rows in ([[2, 3], [4, 5]], [[2, 4], [0, 3]], [[1, 0], [1, 0]]):
+        dom = NoQuotient()
+        with pytest.raises(CertificateError, match="cannot replace a pivot"):
+            smith_elimination(dom, mat(dom, rows))
+        assert dom.calls == 1
+
+
+def test_smith_elimination_raises_on_a_stray_row_add_without_a_swap():
+    class NeverDivides(_CountedIntegers):
+        def divides(self, a, b):
+            return not b  # every nonzero entry looks stray, divmod disagrees
+
+    dom = NeverDivides()
+    with pytest.raises(CertificateError, match="stray row"):
+        smith_elimination(dom, mat(dom, [[2, 0], [0, 4]]))
+    assert dom.calls == 1
 
 
 def test_poly_results_hold_trimmed_fractions():

@@ -97,14 +97,15 @@ def test_no_library_module_imports_dataclasses():
     assert found == []
 
 
-# prints the exit code and whichever of dataclasses and inspect got loaded,
-# then the ffcurve modules the verb loaded
+# prints the exit code and whichever of the watched standard modules got
+# loaded, then the ffcurve modules the verb loaded
 _VERB_MODULES = """
 import contextlib, io, sys
 from ffcurve import cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+watched = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+print(code, *sorted(watched & set(sys.modules)))
 print(*sorted(m[8:] for m in sys.modules if m.startswith("ffcurve.")))
 """
 
@@ -113,12 +114,13 @@ def _verb_modules(argv):
     out = subprocess.run([sys.executable, "-c", _VERB_MODULES, *argv], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
     status, loaded = out.stdout.splitlines()
-    return status.split(), set(loaded.split())
+    code, *stdlib = status.split()
+    return int(code), set(stdlib), set(loaded.split())
 
 
 # the ffcurve modules each verb may load, besides cli and errors: what a cold
 # start compiles, so a new import on a verb's path must be added here on purpose
-_SHEAF = {"parser", "polyring", "sheaves", "slopes"}
+_SHEAF = {"parser", "sheaves", "slopes"}
 _TILTED = _SHEAF | {"tilting"}
 _BC = _TILTED | {"bc"}
 _ALGEBRA = {"complexes", "exactalg", "parser", "polyring"}
@@ -135,7 +137,7 @@ _VERB_ALLOWLIST = {
     "hnminus": (["O(-1)"], _TILTED),
     "bc": (["O(1)"], _BC),
     "present": (["O(3)"], _BC),
-    "breen": ([], _BC - {"parser", "polyring"}),
+    "breen": ([], _BC - {"parser"}),
     "koszul": (["t", "t + 1"], _ALGEBRA),
     "cohom": (["t", "t + 1"], _ALGEBRA),
     "eta": (["t", "t"], _ALGEBRA),
@@ -144,15 +146,32 @@ _VERB_ALLOWLIST = {
 }
 
 
+# the sheaf verbs whose slopes only compare: d/h against d'/h' by integer
+# products, so no Fraction (fractions loads decimal); hom and ext1 subtract
+_NO_FRACTIONS = {"chi", "k0", "hn", "ext2"}
+
+
 @pytest.mark.parametrize("verb", sorted(_VERB_ALLOWLIST))
 def test_verbs_load_neither_dataclasses_nor_inspect(verb):
     # every cold verb compiles what it imports afresh when no bytecode cache
     # is written, and dataclasses pulls in inspect, ast, dis and tokenize; the
-    # same cold run also holds the verb to its allowlisted ffcurve modules
+    # same cold run also holds the verb to its allowlisted ffcurve modules,
+    # and the closed-form sheaf verbs to no Fraction
     args, allowed = _VERB_ALLOWLIST[verb]
-    status, loaded = _verb_modules([verb, *args])
-    assert status == ["0"]
+    code, stdlib, loaded = _verb_modules([verb, *args])
+    assert code == 0
+    assert not stdlib & {"dataclasses", "inspect"}, sorted(stdlib)
     assert loaded - {"cli", "errors"} <= allowed, sorted(loaded)
+    if verb in _NO_FRACTIONS:
+        assert not stdlib & {"fractions", "decimal"}, sorted(stdlib)
+
+
+def test_rejected_input_loads_no_json():
+    # json is for the --json envelope, which input rejected by the parser never reaches
+    code, stdlib, loaded = _verb_modules(["chi", "O(3"])
+    assert code == 2
+    assert "json" not in stdlib, sorted(stdlib)
+    assert loaded - {"cli", "errors"} <= _SHEAF, sorted(loaded)
 
 
 _DOUBLED_D = """

@@ -56,7 +56,32 @@ def test_total_order_with_infinity_maximal():
     assert INFINITY <= INFINITY
 
 
+_FINITE = st.builds(Slope, st.integers(-10**30, 10**30), st.integers(1, 10**12))
+# INFINITY, and a finite slope again under a common factor, so ties are drawn too
+_SLOPES = st.lists(
+    st.one_of(_FINITE, st.just(INFINITY),
+              st.builds(lambda s, k: Slope(s.d * k, s.h * k), _FINITE, st.integers(1, 10**6))),
+    min_size=2, max_size=8,
+)
+
+
+def _rational_key(s):
+    # the reference order: Fractions, with INFINITY above every one of them
+    return (1, Fraction(0)) if s is INFINITY else (0, Fraction(s.d, s.h))
+
+
+@given(_SLOPES)
+def test_order_matches_fraction_order(slopes):
+    for a in slopes:
+        for b in slopes:
+            ka, kb = _rational_key(a), _rational_key(b)
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (
+                ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
+    assert [_rational_key(s) for s in sorted(slopes)] == sorted(map(_rational_key, slopes))
+
+
 def test_slope_value_and_text():
+    assert type(reduce(1, 2).value) is Fraction
     assert reduce(1, 2).value == Fraction(1, 2)
     assert str(reduce(-3, 2)) == "-3/2"
     assert str(reduce(4, 1)) == "4"
