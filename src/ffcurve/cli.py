@@ -11,8 +11,10 @@ bytecode cache, a cold ``ffcurve <verb>`` compiles everything it imports afresh,
 so a call pays only for its own verb. ``main`` builds, from the one verb table
 ``_VERBS``, the subparser of the verb that argv starts with and no other; help,
 an unknown verb or a leading option get all of them. Sheaf verbs load no
-``polyring``, and chi, k0, hn and ext2 no ``fractions`` either: slopes compare
-by integer products. ``json`` loads only to print a ``--json`` envelope.
+``polyring``, and chi, k0, hn, hom, ext1, ext2, tilt, untilt, bc, present and
+info on a sheaf no ``fractions``: slopes compare and subtract by integer
+products, and only hnminus and tilted info build Fractions (mu- values).
+``json`` loads only to print a ``--json`` envelope.
 
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,

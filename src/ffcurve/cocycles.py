@@ -104,7 +104,8 @@ def _decode(code: int, arity: int, width: int) -> Key:
 
 
 class _Combo:
-    """Finite linear combination of exponent-tuple basis keys."""
+    """Finite linear combination of exponent-tuple basis keys. Subclasses
+    supply the basis: _merge_keys, _composition_coeff and _factor."""
 
     __slots__ = ("arity", "coeffs")
 
@@ -267,19 +268,6 @@ class _Combo:
             (sum(a << s for a, s in zip(comp, shifts)), cls._composition_coeff(e, comp))
             for comp in _compositions(e, len(slot))
         ]
-
-    # subclass hooks
-    @staticmethod
-    def _merge_keys(key_a: Key, key_b: Key) -> Dict[Key, int]:
-        raise NotImplementedError
-
-    @staticmethod
-    def _composition_coeff(total: int, comp: Key) -> int:
-        raise NotImplementedError
-
-    @staticmethod
-    def _factor(name: str, e: int) -> str:
-        raise NotImplementedError
 
     def __str__(self):
         names = _var_names(self.arity)

@@ -8,8 +8,7 @@ _set = object.__setattr__
 class Frozen:
     """Immutable record: a subclass's ``__init__`` parameters are its fields, in
     order, each stored through ``_set``. Equality holds within one class only,
-    the hash is the field tuple's, and repr is ``Name(f=..., g=...)``; hot
-    subclasses spell ``__eq__`` and ``__hash__`` out on the same terms."""
+    the hash is the field tuple's, and repr is ``Name(f=..., g=...)``."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__

@@ -103,9 +103,6 @@ class _Rationals(CoeffDomain):
     def divmod(self, a, b):
         return a / b, Fraction(0)
 
-    def divides(self, a, b) -> bool:
-        return bool(a) or not b
-
     def norm(self, a) -> int:
         return 0 if a == 0 else 1
 
@@ -178,14 +175,6 @@ class Mat(Frozen):
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "data", data)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
 
 def mat(dom: CoeffDomain, rows: Sequence[Sequence], cols: int = None) -> Mat:

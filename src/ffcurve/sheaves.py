@@ -27,9 +27,6 @@ class BCInvariant(NamedTuple):
     def __sub__(self, other):
         return BCInvariant(self.dim - other[0], self.ht - other[1])
 
-    def __neg__(self):
-        return BCInvariant(-self.dim, -self.ht)
-
     def scaled(self, n: int) -> "BCInvariant":
         return BCInvariant(n * self.dim, n * self.ht)
 
@@ -53,14 +50,6 @@ class CoherentSheaf(Frozen):
     def __init__(self, bundle: Tuple[BundleAtom, ...] = (), torsion: Tuple[TorsionAtom, ...] = ()):
         _set(self, "bundle", bundle)
         _set(self, "torsion", torsion)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bundle, self.torsion) == (other.bundle, other.torsion)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bundle, self.torsion))
 
     @staticmethod
     def zero() -> "CoherentSheaf":
@@ -299,14 +288,6 @@ class TiltedObject(Frozen):
             raise ValueError("degree 0 slopes must be >= 0")
         _set(self, "neg", neg)
         _set(self, "pos", pos)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.neg, self.pos) == (other.neg, other.pos)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.neg, self.pos))
 
     @property
     def is_zero(self) -> bool:

@@ -37,6 +37,9 @@ class Slope:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Slope is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Slope is immutable")
+
     def __reduce__(self):
         # rebuild through __init__, never through the guarded __setattr__;
         # the infinite slope comes back as the module's one INFINITY
@@ -95,10 +98,6 @@ def reduce(d: int, h: int) -> Slope:
     return Slope(d, h)
 
 
-def from_fraction(q: Fraction) -> Slope:
-    return Slope(q.numerator, q.denominator)
-
-
 def hom_slope_data(lam: Slope, mu: Slope) -> Tuple[Slope, int]:
     """Internal-Hom data of two stable slopes.
 
@@ -109,8 +108,7 @@ def hom_slope_data(lam: Slope, mu: Slope) -> Tuple[Slope, int]:
     """
     if not (lam.is_finite and mu.is_finite):
         raise ValueError("hom_slope_data is defined for finite slopes only")
-    diff = mu.value - lam.value
-    nu = from_fraction(diff)
+    nu = reduce(mu.d * lam.h - lam.d * mu.h, lam.h * mu.h)
     m, rem = divmod(lam.h * mu.h, nu.h)
     if rem:
         raise CertificateError(

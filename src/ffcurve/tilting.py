@@ -10,7 +10,6 @@ the double-tilt functor just unshifts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 from typing import List, Tuple
 
@@ -34,6 +33,7 @@ class _MinusInfinity:
     def __lt__(self, other):
         if other is self:
             return False
+        from fractions import Fraction
         return True if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __repr__(self):
@@ -90,6 +90,7 @@ def tilted_invariants(A: TiltedObject):
     """
     if A.is_zero:
         raise ValueError("the zero object has no tilted slope")
+    from fractions import Fraction
     a, b = A.k0_class()
     r, d = a + b, b
     if d == 0:
@@ -106,6 +107,7 @@ def hn_minus(A: TiltedObject) -> List[Tuple[object, TiltedObject]]:
     """
     if A.is_zero:
         raise ValueError("the zero object has no HN filtration")
+    from fractions import Fraction
     zero = CoherentSheaf.zero()
     pieces: List[Tuple[object, TiltedObject]] = []
     for s, m in A.neg.bundle:

@@ -7,8 +7,11 @@ are checked against the K0/rank/degree additivity oracle at every splice.
 import random
 from fractions import Fraction
 
+import pytest
+
 from ffcurve.bc import (
     BCDescriptor,
+    PresentationCertificate,
     breen_tables,
     dim_ht,
     effective_presentation,
@@ -18,8 +21,10 @@ from ffcurve.sheaves import (
     BCInvariant,
     CoherentSheaf,
     O,
+    ShortExactSequence,
     T,
     TiltedObject,
+    _plain,
     direct_sum,
     se1,
     se2,
@@ -204,3 +209,49 @@ def test_presentation_randomized():
         _check_certificate(cert, A)
         for step in cert.steps:
             step.validate()
+
+
+# ----------------------------------------------------------------- refusals
+
+
+def _with(cert, **fields):
+    # the certificate with some fields replaced, built through the constructor
+    return PresentationCertificate(**{f: fields.get(f, getattr(cert, f)) for f in cert._fields})
+
+
+# 0 -> O -> O(1) -> O(3) -> 0 claims the K0 class (0, 1) = (1, 0) + (-2, 3)
+_NON_ADDITIVE = ShortExactSequence(_plain(O(0)), _plain(O(1)), _plain(O(3)), "se1")
+
+
+def test_short_exact_sequence_refuses_non_additive_classes():
+    with pytest.raises(ValueError, match="additivity fails for se1"):
+        _NON_ADDITIVE.validate()
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"target": tilt(O(4))}, "does not end at its target"),
+    ({"a": 3}, "kernel is not O\\^3"),
+    ({"middle": O(0, mult=3)}, "middle term mismatch"),
+    ({"steps": (_NON_ADDITIVE,)}, "additivity fails for se1"),
+], ids=["target", "kernel", "middle", "step"])
+def test_presentation_refuses_a_corrupted_field(fields, message):
+    cert = effective_presentation(tilt(O(3)))
+    assert (cert.a, cert.middle) == (2, O(1, mult=3))
+    assert _with(cert).validate() == cert
+    with pytest.raises(ValueError, match=message):
+        _with(cert, **fields).validate()
+
+
+def test_presentation_refuses_a_torsion_middle():
+    # additive: (0, 1) = (1, 0) + (-1, 1), and the final middle is the middle
+    middle, target = direct_sum(O(0), T([1])), _plain(T([1]))
+    final = ShortExactSequence(_plain(O(0)), _plain(middle), target, "presentation")
+    with pytest.raises(ValueError, match="torsion free"):
+        PresentationCertificate(target, 1, middle, (), final).validate()
+
+
+def test_presentation_refuses_a_middle_slope_above_one():
+    target = _plain(O(2))
+    final = ShortExactSequence(_plain(ZERO), target, target, "presentation")
+    with pytest.raises(ValueError, match="middle slope 2 outside"):
+        PresentationCertificate(target, 0, O(2), (), final).validate()

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffcurve import bc, cli, cocycles, complexes, derham, tilting
+from ffcurve import bc, cli, cocycles, complexes, derham, sheaves, tilting
 from ffcurve.parser import parse_poly, parse_sheaf
 from ffcurve.polyring import Poly
 
@@ -354,6 +355,39 @@ def test_cocycle_certificate_failure_exit_code(capsys, monkeypatch):
         code, out, err = run(capsys, "cocycle", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_present_refuses_a_non_additive_step(capsys, monkeypatch):
+    # bc reads se1 from its own namespace; 0 -> O -> O(1) -> O(j) -> 0 is not additive
+    plain = sheaves._plain
+    monkeypatch.setattr(bc, "se1", lambda j: sheaves.ShortExactSequence(
+        plain(sheaves.O(0)), plain(sheaves.O(1)), plain(sheaves.O(j)), "se1"))
+    for argv in (["O(3)"], ["O(3)", "--json"]):
+        code, out, err = run(capsys, "present", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: additivity fails for se1") and "Traceback" not in err
+
+
+def _readme_cli_lines():
+    # the ffcurve lines of the first sh block under "## CLI"
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # hn --svg writes hn.svg here
+    lines = _readme_cli_lines()
+    assert len(lines) == 16 and all(argv[0] == "ffcurve" for argv in lines)
+    outs = {}
+    for argv in lines:
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        outs[argv[1]] = out
+    assert outs["chi"] == "(2, 3)\n"
+    assert "vertices: (0,0) (1,1) (2,0)\n" in outs["hn"]
+    assert (tmp_path / "hn.svg").read_text().startswith("<svg")
+    assert outs["tilt"] == "tilted(O(-1); O(2))\n"
 
 
 def test_info_sheaf_json(capsys):

@@ -34,7 +34,7 @@ def test_hom_slope_data_rejects_rank_identity_failure(monkeypatch):
     lam, mu = Slope(1, 2), Slope(1, 3)
     assert hom_slope_data(lam, mu) == (Slope(-1, 6), 1)
     # a difference of height 5 cannot divide 2 * 3
-    monkeypatch.setattr(slopes, "from_fraction", lambda diff: Slope(1, 5))
+    monkeypatch.setattr(slopes, "reduce", lambda d, h: Slope(1, 5))
     with pytest.raises(CertificateError):
         hom_slope_data(lam, mu)
 

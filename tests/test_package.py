@@ -146,9 +146,10 @@ _VERB_ALLOWLIST = {
 }
 
 
-# the sheaf verbs whose slopes only compare: d/h against d'/h' by integer
-# products, so no Fraction (fractions loads decimal); hom and ext1 subtract
-_NO_FRACTIONS = {"chi", "k0", "hn", "ext2"}
+# the sheaf verbs that build no Fraction (fractions loads decimal): slopes
+# compare, and hom and ext1 subtract them, by integer products, and tilting
+# loads fractions only for the mu- values of hnminus and tilted info
+_NO_FRACTIONS = {"bc", "chi", "ext1", "ext2", "hn", "hom", "k0", "present", "tilt", "untilt"}
 
 
 @pytest.mark.parametrize("verb", sorted(_VERB_ALLOWLIST))
@@ -164,6 +165,14 @@ def test_verbs_load_neither_dataclasses_nor_inspect(verb):
     assert loaded - {"cli", "errors"} <= allowed, sorted(loaded)
     if verb in _NO_FRACTIONS:
         assert not stdlib & {"fractions", "decimal"}, sorted(stdlib)
+
+
+def test_sheaf_info_loads_no_fractions():
+    # info on a sheaf runs tilt and bc but reads no mu- value
+    code, stdlib, loaded = _verb_modules(["info", "O(1/2) + T(x,[2])"])
+    assert code == 0
+    assert not stdlib & {"fractions", "decimal"}, sorted(stdlib)
+    assert loaded - {"cli", "errors"} <= _BC, sorted(loaded)
 
 
 def test_rejected_input_loads_no_json():

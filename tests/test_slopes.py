@@ -132,3 +132,24 @@ def test_hom_slope_data_diagonal(a, b):
     nu, m = hom_slope_data(lam, lam)
     assert (nu.d, nu.h) == (0, 1)
     assert m == lam.h * lam.h
+
+
+@given(_FINITE, _FINITE)
+def test_hom_slope_data_matches_fraction_difference(lam, mu):
+    # the integer difference against an independent Fraction subtraction
+    nu, m = hom_slope_data(lam, mu)
+    diff = Fraction(mu.d, mu.h) - Fraction(lam.d, lam.h)
+    assert (nu.d, nu.h) == (diff.numerator, diff.denominator)
+    assert m * nu.h == lam.h * mu.h
+
+
+@pytest.mark.parametrize("s", [Slope(3, 2), INFINITY], ids=["finite", "infinity"])
+def test_slope_refuses_assignment_and_deletion(s):
+    for name in ("d", "h"):
+        with pytest.raises(AttributeError, match="Slope is immutable"):
+            setattr(s, name, 3)
+        with pytest.raises(AttributeError, match="Slope is immutable"):
+            delattr(s, name)
+    # the fields survive both refusals, so comparisons still work
+    assert (s.d, s.h) == ((3, 2) if s.is_finite else (1, 0))
+    assert Slope(1, 1) < s
