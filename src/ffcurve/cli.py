@@ -18,7 +18,7 @@ products, and only hnminus and tilted info build Fractions (mu- values).
 
 Exit codes: 0 on success, 2 for malformed expressions or usage errors,
 1 for well-formed input that the operation rejects (wrong object kind,
-zero object, out-of-range integers, work or output over a named budget),
+zero object, out-of-range integers, work over a named budget),
 a certificate that fails to verify, or an output file that cannot be written.
 """
 
@@ -29,13 +29,6 @@ from functools import partial
 from .errors import CertificateError, ParseError
 
 SCHEMA = "ffcurve/1"
-
-#: largest numerator or denominator, in bits, that eta renders, below the
-#: interpreter's 4300-digit limit on printing an int: decalage coefficients
-#: grow about as the elements' bits times their degree squared, and eta
-#: checks that estimate (_eta_bits_estimate) before the work and the exact
-#: bits after it
-MAX_OUTPUT_BITS = 14_000
 
 
 class UsageError(Exception):
@@ -373,50 +366,25 @@ def cmd_koszul(args) -> None:
 
 
 def cmd_cohom(args) -> None:
-    from .complexes import cohomology, koszul
+    from .complexes import koszul_cohomology
     from .exactalg import POLY_OVER_RATIONALS
     elems = _parse_elements(args.elements)
-    K = koszul(POLY_OVER_RATIONALS, elems)
-    H = cohomology(K)
+    H = koszul_cohomology(POLY_OVER_RATIONALS, elems)
     payload = {"elements": [str(g) for g in elems], "H": _cohomology_payload(H)}
     _emit(args, "cohom", _cohomology_lines(H), payload)
 
 
-def _eta_bits_estimate(elems) -> int:
-    """Bits of the largest decalage coefficient, estimated before the work: the
-    elements' largest primitive coefficient bits (a rational multiple is a
-    unit) times m^2 / 4, m the least degree of a nonzero element. The Smith
-    elimination pivots on an entry of least degree, so its Euclid chains are
-    at most m steps long; a single nonzero element makes none."""
-    degrees = sorted(g.degree for g in elems if g)
-    if len(degrees) < 2:
-        return 0
-    return max(g.primitive_bits() for g in elems) * degrees[0] ** 2 // 4
-
-
-def _check_output_bits(article: str, bits: int) -> None:
-    if bits > MAX_OUTPUT_BITS:
-        raise ValueError("%s %d-bit coefficient is over the budget MAX_OUTPUT_BITS = %d"
-                         % (article, bits, MAX_OUTPUT_BITS))
-
-
 def cmd_eta(args) -> None:
-    from .complexes import ShiftProfile, cohomology, complex_to_json, decalage, koszul
+    from .complexes import complex_to_json, koszul_cohomology, koszul_decalage
     from .exactalg import POLY_OVER_RATIONALS
     from .parser import parse_poly
     f = parse_poly(args.f)
     if f.is_zero:
         raise ValueError("the decalage scale must be nonzero")
     elems = _parse_elements(args.elements)
-    _check_output_bits("an estimated", _eta_bits_estimate(elems))
-    K = koszul(POLY_OVER_RATIONALS, elems)
-    delta = ShiftProfile.identity(0, K.highest)
-    E = decalage(K, f, delta)
-    H = cohomology(E)
-    coeffs = [c for d in E.differentials for row in d.data for x in row for c in x.coeffs]
-    coeffs += [c for _, factors in H.values() for x in factors for c in x.coeffs]
-    bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in coeffs), default=0)
-    _check_output_bits("a", bits)
+    E = koszul_decalage(POLY_OVER_RATIONALS, f, elems)
+    # E is, up to a signed reordering of bases, the Koszul complex on d_0 = (0, ..., 0, -h)
+    H = koszul_cohomology(POLY_OVER_RATIONALS, [row[0] for row in E.differentials[0].data])
     payload = {
         "f": str(f),
         "elements": [str(g) for g in elems],

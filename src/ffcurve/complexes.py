@@ -6,11 +6,12 @@ n_j - rank d_j - rank d_{j-1} plus the non-unit invariant factors of d_{j-1}.
 The shift functor eta_{delta,f} re-presents the submodule terms in explicit
 free bases, replaying only V and V^-1 of each differential, so induced
 differentials and induced chain maps stay over the domain with exact
-divisions only.
+divisions only. On Koszul complexes both are read off the gcd of the elements.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
@@ -28,11 +29,10 @@ from .exactalg import (
     zeros,
 )
 
-#: work budget of koszul: the number of rational coefficients stored in the
-#: differentials, 2^(k-1) times the coefficients of the k elements (one per
-#: scalar, degree + 1 per polynomial). Q[t] Smith forms on these complexes
-#: grow their coefficients fast: four elements of degree 16 (544) take 13 s,
-#: while the largest benchmark shape, five quadratics, has 240.
+#: work budget of the Koszul functions: 2^(k-1) times the coefficients of the
+#: k elements (degree + 1 per polynomial), the size of the differentials. No CLI
+#: verb runs a Smith form on them, but the library cohomology and decalage of
+#: koszul do: four elements of degree 16 (544) take 13 s; five quadratics have 240.
 MAX_KOSZUL_COEFFS = 256
 
 
@@ -118,20 +118,26 @@ def is_acyclic(C: BoundedComplex) -> bool:
 # ---------------------------------------------------------------------- Koszul
 
 
+def _admitted(dom: CoeffDomain, elements: Sequence) -> list:
+    """The elements converted, refused before any work over MAX_KOSZUL_COEFFS."""
+    gs = [dom.convert(g) for g in elements]
+    if not gs:
+        raise ValueError("koszul needs at least one element")
+    coeffs = sum(len(getattr(g, "coeffs", (g,))) for g in gs) << (len(gs) - 1)
+    if coeffs > MAX_KOSZUL_COEFFS:
+        raise ValueError("%d Koszul coefficients are over the budget MAX_KOSZUL_COEFFS = %d"
+                         % (coeffs, MAX_KOSZUL_COEFFS))
+    return gs
+
+
 def koszul(dom: CoeffDomain, elements: Sequence) -> BoundedComplex:
     """Koszul complex on the given elements, degrees 0..n.
 
     Basis of term m is the sorted m-subsets; inserting h as the m-th
     element of the new subset carries the sign (-1)^(m-1).
     """
-    gs = [dom.convert(g) for g in elements]
+    gs = _admitted(dom, elements)
     n = len(gs)
-    if n < 1:
-        raise ValueError("koszul needs at least one element")
-    coeffs = sum(len(getattr(g, "coeffs", (g,))) for g in gs) << (n - 1)
-    if coeffs > MAX_KOSZUL_COEFFS:
-        raise ValueError("%d Koszul coefficients are over the budget MAX_KOSZUL_COEFFS = %d"
-                         % (coeffs, MAX_KOSZUL_COEFFS))
     levels = [list(combinations(range(n), m)) for m in range(n + 1)]
     index = [{S: i for i, S in enumerate(level)} for level in levels]
     ranks = tuple(comb(n, m) for m in range(n + 1))
@@ -149,6 +155,38 @@ def koszul(dom: CoeffDomain, elements: Sequence) -> BoundedComplex:
                 rows[row][col] = rows[row][col] + entry
         diffs.append(Mat(ranks[m + 1], ranks[m], tuple(tuple(r) for r in rows)))
     return BoundedComplex(dom, 0, ranks, tuple(diffs))
+
+
+def koszul_cohomology(dom: CoeffDomain, elements: Sequence) -> Dict[int, Tuple[int, Tuple]]:
+    """cohomology(koszul(dom, elements)) from the gcd g of the k elements: GL_k
+    moves them to (g, 0, ..., 0), so K is the sum of the K(g)[-j], C(k-1, j)
+    times (Eisenbud, Commutative Algebra, ch. 17)."""
+    gs = _admitted(dom, elements)
+    k, g = len(gs), reduce(dom.gcd, gs, dom.zero)
+    if dom.is_zero(g):
+        return {j: (comb(k, j), ()) for j in range(k + 1)}
+    torsion = () if g == dom.one else (g,)
+    return {j: (0, torsion * comb(k - 1, j - 1) if j else ()) for j in range(k + 1)}
+
+
+def koszul_decalage(dom: CoeffDomain, f, elements: Sequence) -> BoundedComplex:
+    """A complex isomorphic to decalage(koszul(dom, elements), f, identity
+    profile): eta_f K(g) = K(h) for h = g / gcd(f, g) (Bhatt-Morrow-Scholze,
+    Integral p-adic Hodge theory, §6), so it is the sum of the K(-h)[-j],
+    C(k-1, j) times. Term m lists the sources of the j = m summands, then the
+    targets of the j = m - 1 ones; h is monic over Q[t], positive over Z."""
+    gs = _admitted(dom, elements)
+    f = dom.convert(f)
+    if dom.is_zero(f):
+        raise ValueError("decalage needs a non-zero-divisor f")
+    k, g = len(gs), reduce(dom.gcd, gs, dom.zero)
+    h = -_exact_div(dom, g, dom.gcd(f, g))
+    ranks = tuple(comb(k, m) for m in range(k + 1))
+    # source c of a j = m summand maps to its target, after the C(k-1, m+1) j = m + 1 sources
+    diffs = tuple(Mat(ranks[m + 1], ranks[m], tuple(
+        tuple(h if r == comb(k - 1, m + 1) + c else dom.zero for c in range(ranks[m]))
+        for r in range(ranks[m + 1]))) for m in range(k))
+    return BoundedComplex(dom, 0, ranks, diffs)
 
 
 # -------------------------------------------------------------------- decalage

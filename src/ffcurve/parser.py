@@ -48,10 +48,9 @@ def _polyring():
 _SYMBOLS = set("()[]^+;,/-*")
 
 #: work budgets of parse_poly, checked before each product and power: the
-#: degree of the result, and for a power the exponent times the bit length
-#: of the base's largest numerator or denominator (about its coefficient
-#: size). Q[t] Smith forms set the values: their coefficients grow so fast
-#: that two elements at this edge already take about 1 s in cohomology.
+#: degree of the result, and for a power the exponent times the bit length of
+#: the base's largest numerator or denominator. The library's Q[t] Smith forms
+#: set them (no CLI verb runs one): two elements at this edge take 0.4 s there.
 MAX_POLY_DEGREE = 16
 MAX_POLY_BITS = 256
 

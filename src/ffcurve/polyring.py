@@ -140,12 +140,6 @@ class Poly:
         """The coefficients as Fractions, low degree first, no trailing zero."""
         return tuple(Fraction(x, self._d) for x in self._n)
 
-    def primitive_bits(self) -> int:
-        """Bit length of the largest coefficient of the primitive integer
-        polynomial that is a rational multiple of this one; 0 for zero."""
-        n = self._n
-        return (max(map(abs, n)) // gcd(*n)).bit_length() if n else 0
-
     @property
     def is_zero(self) -> bool:
         return not self._n

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffcurve import bc, cli, cocycles, complexes, derham, sheaves, tilting
+from ffcurve import bc, cli, cocycles, complexes, derham, exactalg, sheaves, tilting
 from ffcurve.parser import parse_poly, parse_sheaf
 from ffcurve.polyring import Poly
 
@@ -236,11 +236,13 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
     monkeypatch.setattr(cocycles, "_pullback_rows", no_work)
     monkeypatch.setattr(derham, "_forms", no_work)
     monkeypatch.setattr(complexes, "combinations", no_work)
+    monkeypatch.setattr(complexes, "reduce", no_work)
     # four admitted elements of degree 16: parsing them raises powers, and
-    # koszul refuses them before it builds its bases
-    assert_refused(["cohom", "(4294967295*t + 7)^8*(1/3*t - 7)^8",
-                    "(65535*t - 3)^8*(t + 7/5)^8", "(1/3*t - 7)^16", "(t + 1)^16"],
-                   "MAX_KOSZUL_COEFFS")
+    # the Koszul functions refuse them before any gcd or basis
+    four = ["(4294967295*t + 7)^8*(1/3*t - 7)^8", "(65535*t - 3)^8*(t + 7/5)^8",
+            "(1/3*t - 7)^16", "(t + 1)^16"]
+    assert_refused(["cohom"] + four, "MAX_KOSZUL_COEFFS")
+    assert_refused(["eta", "t - 3"] + four, "MAX_KOSZUL_COEFFS")
     monkeypatch.setattr(Poly, "__pow__", no_work)
     for argv, budget in (
         (["koszul", "t", "t^1000000000000"], "MAX_POLY_DEGREE"),
@@ -253,60 +255,10 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
         assert_refused(argv, budget)
 
 
-def test_eta_refuses_coefficients_it_cannot_print(capsys, monkeypatch):
-    # the real limit is reached by `eta 't - 3' '(4294967295*t + 7)^8*(1/3*t - 7)^8'
-    # '(t + 1)^16'` after seconds of work; a lowered one shows the same path
-    argv = ["eta", "t - 3", "(65535*t + 7)^2", "t + 1"]
-    assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_OUTPUT_BITS", 8)
-    for as_json in ([], ["--json"]):
-        code, out, err = run(capsys, *argv, *as_json)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "MAX_OUTPUT_BITS = 8" in err
-
-
-def test_eta_refuses_over_the_estimate_before_the_work(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("eta started a decalage the estimate refuses")
-
-    monkeypatch.setattr(complexes, "decalage", no_work)
-    monkeypatch.setattr(complexes, "koszul", no_work)
-    argv = ["eta", "t - 3", "(4294967295*t + 7)^8*(1/3*t - 7)^8", "(t + 1)^16"]
-    for as_json in ([], ["--json"]):
-        code, out, err = run(capsys, *argv, *as_json)
-        assert (code, out) == (1, "")
-        assert err == ("error: an estimated 18688-bit coefficient is over the budget "
-                       "MAX_OUTPUT_BITS = 14000\n")
-
-
-def test_eta_checks_exact_bits_after_the_work(capsys, monkeypatch):
-    # 16 bits of degree 1 estimate 4 bits: admitted, then refused on the 16
-    # bits the decalage really prints
-    monkeypatch.setattr(cli, "MAX_OUTPUT_BITS", 8)
-    for as_json in ([], ["--json"]):
-        code, out, err = run(capsys, "eta", "t - 3", "65535*t + 7", "t + 1", *as_json)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: a ") and "MAX_OUTPUT_BITS = 8" in err
-
-
-def test_eta_estimate_reads_primitive_rows_and_the_least_degree():
-    def estimate(*texts):
-        return cli._eta_bits_estimate([parse_poly(x) for x in texts])
-
-    big = "(4294967295*t + 7)^8*(1/3*t - 7)^8"
-    assert estimate(big, "(t + 1)^16") == 18688
-    # a rational multiple is a unit: it leaves the estimate alone
-    assert estimate("2/3*" + big, "65535*(t + 1)^16") == 18688
-    assert estimate("(65535*t)^16", "(t + 1)^16") == 14 * 16**2 // 4
-    # the Euclid chains are no longer than the least degree: these decalages
-    # print coefficients of 9, 45 and 292 bits
-    assert estimate(big, "(t + 1)^16", "t^2") == 292
-    assert estimate(big, "t") == 292 // 4
-    assert estimate(big) == estimate(big, "0") == estimate(big, "7") == 0
-
-
 # the full stdout of the Q[t] verbs, written by the CLI before Q[t] moved to
-# integer numerators; eta prints its decalage in the bases the Smith log gives.
+# integer numerators; eta prints its decalage as the sum of the K(-h)[-j], h
+# read off the gcd (eta_t-3.json was rewritten for it, from the Smith bases'
+# -2*t - 2 to -t - 1).
 # The cocycle and derham files were written before the pullback matrices were
 # built on integers and before qp_cohomology memoised d within a call;
 # derham_3_9, the largest qp table of the benchmark, before forms and keys
@@ -332,6 +284,43 @@ def test_output_matches_golden(capsys, stem, suffix):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (_GOLDEN / (stem + suffix)).read_bytes()
+
+
+def test_cohom_and_eta_run_no_smith_elimination(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Smith elimination or library decalage was called")
+
+    for module in (complexes, exactalg):
+        monkeypatch.setattr(module, "smith_elimination", refuse)
+        monkeypatch.setattr(module, "replay_cols", refuse)
+    monkeypatch.setattr(complexes, "decalage", refuse)
+    for stem in ("eta_t", "eta_t-3", "cohom_three"):
+        for suffix in (".txt", ".json"):
+            code, out, err = run(capsys, *_GOLDEN_ARGV[stem], *["--json"] * (suffix == ".json"))
+            assert (code, err) == (0, "")
+            assert out.encode() == (_GOLDEN / (stem + suffix)).read_bytes()
+
+
+_B = "(4294967295*t + 7)^8*(1/3*t - 7)^8"
+
+
+@pytest.mark.parametrize("argv", [
+    # the Smith bases of these two decalages have 23,332- and 292-bit
+    # coefficients; the closed form prints only 0 and -h
+    ["eta", "t - 3", "(16777215*t + 7)^8*(1/3*t - 7)^8", "t^16 + 1"],
+    ["eta", "t", _B, _B],
+    ["cohom", _B, "(t + 1)^16"],
+])
+def test_large_cohom_and_eta_answer_the_smith_path_cohomology(capsys, argv):
+    polys = [parse_poly(x) for x in argv[1:]]
+    if argv[0] == "eta":
+        f, polys = polys[0], polys[1:]
+    K = complexes.koszul(exactalg.POLY_OVER_RATIONALS, polys)
+    if argv[0] == "eta":
+        K = complexes.decalage(K, f, complexes.ShiftProfile.identity(0, K.highest))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-len(K.ranks):] == cli._cohomology_lines(complexes.cohomology(K))
 
 
 def test_certificate_failure_exit_code(capsys, monkeypatch):

@@ -7,8 +7,10 @@ whose cohomology is known by construction.
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcurve import complexes, exactalg
 from ffcurve.complexes import (
@@ -24,6 +26,8 @@ from ffcurve.complexes import (
     is_acyclic,
     is_quasi_iso,
     koszul,
+    koszul_cohomology,
+    koszul_decalage,
 )
 from ffcurve.exactalg import (
     INTEGERS,
@@ -40,6 +44,7 @@ from gen import (
     DOMAINS,
     complex_from_json,
     direct_sum_complexes,
+    random_element,
     random_known_complex,
     random_qis,
 )
@@ -227,6 +232,47 @@ def test_koszul_needs_elements():
 def test_koszul_single_t_cohomology():
     h = cohomology(koszul(POLY, (t,)))
     assert h == {0: (0, ()), 1: (0, (t,))}
+
+
+@st.composite
+def _koszul_inputs(draw):
+    """(domain, f, elements): k = 1..4 elements from gen.random_element, some
+    drawn as zero or as a unit; f nonzero, sometimes a multiple of the first
+    element, or the first element a multiple of f^2."""
+    dom = draw(st.sampled_from(DOMAINS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(("random", "random", "zero", "unit")),
+                          min_size=1, max_size=4))
+    pick = {"zero": lambda: dom.zero, "unit": lambda: dom.convert(rng.choice((1, -1, 2))),
+            "random": lambda: dom.convert(random_element(dom, rng))}
+    elements = [pick[kind]() for kind in kinds]
+    f = dom.zero
+    while dom.is_zero(f):
+        f = dom.convert(random_element(dom, rng))
+    mode = draw(st.sampled_from(("plain", "f_times_first", "first_times_f2")))
+    if mode == "f_times_first" and not dom.is_zero(elements[0]):
+        f = f * elements[0]
+    elif mode == "first_times_f2":
+        elements[0] = elements[0] * f * f
+    return dom, f, elements
+
+
+@settings(max_examples=120, deadline=None)
+@given(_koszul_inputs())
+def test_koszul_closed_forms_match_the_smith_path(case):
+    dom, f, elements = case
+    K = koszul(dom, elements)
+    k = len(elements)
+    assert koszul_cohomology(dom, elements) == cohomology(K)
+    E = koszul_decalage(dom, f, elements)
+    assert cohomology(E) == cohomology(decalage(K, f, ShiftProfile.identity(0, k)))
+    assert E.ranks == tuple(comb(k, m) for m in range(k + 1))
+    g = dom.zero
+    for x in elements:
+        g = dom.gcd(g, x)
+    h = dom.zero if dom.is_zero(g) else dom.divmod(g, dom.gcd(f, g))[0]
+    h = h * dom.canonical_unit(h)
+    assert {x for d in E.differentials for row in d.data for x in row} <= {dom.zero, -h}
 
 
 # -------------------------------------------------------------------- decalage
