@@ -9,12 +9,30 @@ Sheaf grammar:
             | "T" "(" label ",[" int ("," int)* "])"
             | "0"
 
+Q[t] grammar:
+
+    poly   := term (("+" | "-") term)*
+    term   := unary ("*" unary)*
+    unary  := ["-"] factor
+    factor := base ["^" number]
+    base   := number ["/" number] | "t" | "(" poly ")"
+
+Lexical rules: whitespace (str.isspace) separates tokens. A number is a run
+of Unicode decimal digits, read as int() reads it, so "٣" is 3. A name starts
+with a letter or "_" and goes on over letters, digits and "_" (str.isalnum),
+so "x²" is a torsion label; "∞" is a name, an alias of the label "inf". The
+symbols are ( ) [ ] ^ + ; , / - *. Any other character is an error, and so
+is a numeral that is no decimal digit, such as "²" or "½", where a token
+starts; the first one is reported before any grammar error.
+
 The printed normal forms of CoherentSheaf and TiltedObject parse back to
-equal objects.  Errors carry the offending position in the input string.
+equal objects. Errors carry the offending position in the input string, as
+an offset in code points.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -45,7 +63,12 @@ def _polyring():
     return polyring
 
 
-_SYMBOLS = set("()[]^+;,/-*")
+#: one token: a run of decimal digits, a run of word characters that starts
+#: with no decimal digit (a name, unless it starts with a numeral such as
+#: "²"), or any other character but whitespace
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|\S")
+#: the first characters of a well-formed token besides letters and digits
+_STARTS = frozenset("()[]^+;,/-*_∞")
 
 #: work budgets of parse_poly, checked before each product and power: the
 #: degree of the result, and for a power the exponent times the bit length of
@@ -60,276 +83,239 @@ def _check_budget(what: str, value: int, name: str, cap: int) -> None:
         raise ValueError("%s %d is over the budget %s = %d" % (what, value, name, cap))
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
+# Grammar rules take the token list, ended by "", and an index and return
+# (value, next index); they raise ParseError at a token index, turned into a
+# text offset by _parse_whole.
+
+
+def _expect(toks, i, tok: str, what: str) -> int:
+    """The index after toks[i], which must be tok."""
+    if toks[i] != tok:
+        raise ParseError("expected %s" % what, i)
+    return i + 1
+
+
+def _number(toks, i, what: str) -> int:
+    if not toks[i].isdecimal():
+        raise ParseError("expected %s" % what, i)
+    return int(toks[i])
+
+
+# ------------------------------------------------------------------ sheaf side
+
+
+def _signed_int(toks, i):
+    if toks[i] == "-":
+        return -_number(toks, i + 1, "an integer"), i + 2
+    return _number(toks, i, "an integer"), i + 1
+
+
+def _positive_int(toks, i, what: str):
+    if toks[i] == "-":
+        raise ParseError("%s must be positive" % what, i)
+    value = _number(toks, i, what)
+    if value < 1:
+        raise ParseError("%s must be positive" % what, i)
+    return value, i + 1
+
+
+def _torsion_factor(toks, i):
+    value, j = _signed_int(toks, i)
+    if value < 1:
+        raise ParseError("torsion factors must be positive", i)
+    return value, j
+
+
+def _sum(toks, i, allow_shift: bool):
+    """A sum's sheaf, or its tilted object when an item carries [1]; the raw
+    atoms of each part, shifted or not, go to one normalize."""
+    sheaves = _sheaves()
+    start = i
+    plain, shifted = ([], []), ([], [])  # (bundle, torsion) raw atoms
+    any_shift = False
+    while True:
+        tok = toks[i]
+        if tok == "O":
+            d, h, mult = 0, 1, 1
             i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-            continue
-        if ch == "∞":
-            tokens.append(("name", "∞", i))
+            if toks[i] == "(":
+                d, i = _signed_int(toks, i + 1)
+                if toks[i] == "/":
+                    h, i = _positive_int(toks, i + 1, "fraction denominator")
+                i = _expect(toks, i, ")", "')'")
+            if toks[i] == "^":
+                mult, i = _positive_int(toks, i + 1, "multiplicity")
+            kind, atom = 0, ((d, h), mult)
+        elif tok == "T":
+            i = _expect(toks, i + 1, "(", "'(' after T")
+            label = toks[i]
+            if not (label[:1].isalpha() or label[:1] == "_" or label == "∞"):
+                raise ParseError("expected a torsion label", i)
+            i = _expect(toks, _expect(toks, i + 1, ",", "','"), "[", "'['")
+            factor, i = _torsion_factor(toks, i)
+            factors = [factor]
+            while toks[i] == ",":
+                factor, i = _torsion_factor(toks, i + 1)
+                factors.append(factor)
+            i = _expect(toks, _expect(toks, i, "]", "']'"), ")", "')'")
+            kind, atom = 1, (label, factors)
+        elif tok == "0":
             i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def fail(self, message: str, position=None):
-        if position is None:
-            position = self.peek()[2]
-        raise ParseError(message, position)
-
-    def expect(self, kind: str, what: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            self.fail("expected %s" % what)
-        return self.advance()
-
-    def at_end(self) -> bool:
-        return self.peek()[0] == "end"
-
-    # ---------------------------------------------------------- sheaf side
-
-    def signed_int(self) -> int:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        tok = self.expect("number", "an integer")
-        return sign * int(tok[1])
-
-    def positive_int(self, what: str) -> int:
-        tok = self.peek()
-        if tok[0] == "-":
-            self.fail("%s must be positive" % what)
-        tok = self.expect("number", what)
-        value = int(tok[1])
-        if value < 1:
-            self.fail("%s must be positive" % what, tok[2])
-        return value
-
-    def atom(self) -> CoherentSheaf:
-        sheaves = _sheaves()
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "O":
-            self.advance()
-            d, h = 0, 1
-            if self.peek()[0] == "(":
-                self.advance()
-                d = self.signed_int()
-                if self.peek()[0] == "/":
-                    self.advance()
-                    h = self.positive_int("fraction denominator")
-                self.expect(")", "')'")
-            mult = 1
-            if self.peek()[0] == "^":
-                self.advance()
-                mult = self.positive_int("multiplicity")
-            return sheaves.O(d, h, mult=mult)
-        if tok[0] == "name" and tok[1] == "T":
-            self.advance()
-            self.expect("(", "'(' after T")
-            label = self.expect("name", "a torsion label")[1]
-            self.expect(",", "','")
-            self.expect("[", "'['")
-            factors = [self.torsion_factor()]
-            while self.peek()[0] == ",":
-                self.advance()
-                factors.append(self.torsion_factor())
-            self.expect("]", "']'")
-            self.expect(")", "')'")
-            return sheaves.T(tuple(factors), label=label)
-        if tok[0] == "number" and tok[1] == "0":
-            self.advance()
-            return sheaves.CoherentSheaf.zero()
-        self.fail("expected an atom: O(...), T(...), or 0")
-
-    def torsion_factor(self) -> int:
-        tok = self.peek()
-        value = self.signed_int()
-        if value < 1:
-            self.fail("torsion factors must be positive", tok[2])
-        return value
-
-    def item(self, allow_shift: bool):
-        sheaf = self.atom()
-        shifted = False
-        if self.peek()[0] == "[":
+            atom = None
+        else:
+            raise ParseError("expected an atom: O(...), T(...), or 0", i)
+        part = plain
+        if toks[i] == "[":
             if not allow_shift:
-                self.fail("shift suffix is not allowed here")
-            self.advance()
-            tok = self.expect("number", "the shift amount 1")
-            if tok[1] != "1":
-                self.fail("only the shift [1] occurs in the tilted heart", tok[2])
-            self.expect("]", "']'")
-            shifted = True
-        return sheaf, shifted
+                raise ParseError("shift suffix is not allowed here", i)
+            if not toks[i + 1].isdecimal():
+                raise ParseError("expected the shift amount 1", i + 1)
+            if toks[i + 1] != "1":
+                raise ParseError("only the shift [1] occurs in the tilted heart", i + 1)
+            i = _expect(toks, i + 2, "]", "']'")
+            part, any_shift = shifted, True
+        if atom is not None:
+            part[kind].append(atom)
+        if toks[i] != "+":
+            break
+        i += 1
+    pos = sheaves.normalize(*plain)
+    if not any_shift:
+        return pos, i
+    try:
+        return sheaves.TiltedObject(sheaves.normalize(*shifted), pos), i
+    except ValueError as exc:
+        raise ParseError(str(exc), start) from None
 
-    def sum_expr(self, allow_shift: bool):
-        sheaves = _sheaves()
-        start = self.peek()[2]
-        items = [self.item(allow_shift)]
-        while self.peek()[0] == "+":
-            self.advance()
-            items.append(self.item(allow_shift))
-        if not any(shifted for _, shifted in items):
-            return sheaves.direct_sum(*[sheaf for sheaf, _ in items])
-        neg = sheaves.direct_sum(*[sheaf for sheaf, shifted in items if shifted])
-        pos = sheaves.direct_sum(*[sheaf for sheaf, shifted in items if not shifted])
-        try:
-            return sheaves.TiltedObject(neg, pos)
-        except ValueError as exc:
-            self.fail(str(exc), start)
 
-    def tilted_expr(self) -> TiltedObject:
-        sheaves = _sheaves()
-        start = self.peek()[2]
-        self.advance()  # the "tilted" keyword
-        self.expect("(", "'(' after tilted")
-        neg = self.sum_expr(allow_shift=False)
-        if isinstance(neg, sheaves.TiltedObject):
-            self.fail("nested tilted expressions are not allowed", start)
-        self.expect(";", "';' between the two parts")
-        pos = self.sum_expr(allow_shift=False)
-        if isinstance(pos, sheaves.TiltedObject):
-            self.fail("nested tilted expressions are not allowed", start)
-        self.expect(")", "')'")
-        try:
-            return sheaves.TiltedObject(neg, pos)
-        except ValueError as exc:
-            self.fail(str(exc), start)
+def _object(toks, i):
+    if toks[i] != "tilted":
+        return _sum(toks, i, allow_shift=True)
+    neg, j = _sum(toks, _expect(toks, i + 1, "(", "'(' after tilted"), allow_shift=False)
+    pos, j = _sum(toks, _expect(toks, j, ";", "';' between the two parts"), allow_shift=False)
+    j = _expect(toks, j, ")", "')'")
+    try:
+        return _sheaves().TiltedObject(neg, pos), j
+    except ValueError as exc:
+        raise ParseError(str(exc), i) from None
 
-    def object_expr(self):
-        if self.peek()[:2] == ("name", "tilted"):
-            return self.tilted_expr()
-        return self.sum_expr(allow_shift=True)
 
-    def sheaf_expr(self) -> CoherentSheaf:
-        if self.peek()[:2] == ("name", "tilted"):
-            self.fail("expected a sheaf expression, not a tilted one")
-        return self.sum_expr(allow_shift=False)
+def _sheaf(toks, i):
+    if toks[i] == "tilted":
+        raise ParseError("expected a sheaf expression, not a tilted one", i)
+    return _sum(toks, i, allow_shift=False)
 
-    # ----------------------------------------------------------- poly side
 
-    def poly_expr(self) -> Poly:
-        node = self.poly_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.poly_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+# ------------------------------------------------------------------- poly side
 
-    def poly_term(self) -> Poly:
-        node = self.poly_unary()
-        while self.peek()[0] == "*":
-            self.advance()
-            rhs = self.poly_unary()
-            _check_budget("degree", node.degree + rhs.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
-            node = node * rhs
-        return node
 
-    def poly_unary(self) -> Poly:
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.poly_factor()
-        return self.poly_factor()
-
-    def poly_factor(self) -> Poly:
-        base = self.poly_base()
-        if self.peek()[0] == "^":
-            self.advance()
-            if self.peek()[0] == "-":
-                self.fail("exponents must be non-negative")
-            n = int(self.expect("number", "an exponent")[1])
-            bits = max((max(abs(c.numerator), c.denominator).bit_length()
-                        for c in base.coeffs), default=0)
-            _check_budget("degree", n * base.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
-            _check_budget("coefficient bits", n * bits, "MAX_POLY_BITS", MAX_POLY_BITS)
-            return base ** n
-        return base
-
-    def poly_base(self) -> Poly:
-        polyring = _polyring()
-        tok = self.peek()
-        if tok[0] == "number":
-            self.advance()
-            value = int(tok[1])
-            if self.peek()[0] == "/":
-                self.advance()
-                den_tok = self.expect("number", "a denominator")
-                den = int(den_tok[1])
+def _poly(toks, i):
+    """The Q[t] grammar without recursion: each "(" saves the enclosing
+    level's sum, its sign, its product and its unary minus on a stack, so that
+    nesting depth costs no Python frames. Sums, products and powers are formed
+    as soon as their right operand ends, in the order a recursive descent
+    forms them, so each budget check sees the same operands."""
+    polyring = _polyring()
+    stack = []
+    total = sign = prod = None
+    while True:
+        neg = toks[i] == "-"
+        i += neg
+        tok = toks[i]
+        if tok == "(":
+            stack.append((total, sign, prod, neg))
+            total = sign = prod = None
+            i += 1
+            continue
+        if tok.isdecimal():
+            value = int(tok)
+            i += 1
+            if toks[i] == "/":
+                den = _number(toks, i + 1, "a denominator")
                 if den == 0:
-                    self.fail("zero denominator", den_tok[2])
+                    raise ParseError("zero denominator", i + 1)
+                i += 2
                 from fractions import Fraction
-                return polyring.Poly.const(Fraction(value, den))
-            return polyring.Poly.const(value)
-        if tok[0] == "name" and tok[1] == "t":
-            self.advance()
-            return polyring.T_VAR
-        if tok[0] == "(":
-            self.advance()
-            node = self.poly_expr()
-            self.expect(")", "')'")
-            return node
-        self.fail("expected a number, t, or a parenthesized expression")
+                value = Fraction(value, den)
+            node = polyring.Poly.const(value)
+        elif tok == "t":
+            node = polyring.T_VAR
+            i += 1
+        else:
+            raise ParseError("expected a number, t, or a parenthesized expression", i)
+        while True:  # the factor, unary, term and sum this base ends
+            if toks[i] == "^":
+                if toks[i + 1] == "-":
+                    raise ParseError("exponents must be non-negative", i + 1)
+                n = _number(toks, i + 1, "an exponent")
+                i += 2
+                bits = max((max(abs(c.numerator), c.denominator).bit_length()
+                            for c in node.coeffs), default=0)
+                _check_budget("degree", n * node.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
+                _check_budget("coefficient bits", n * bits, "MAX_POLY_BITS", MAX_POLY_BITS)
+                node = node ** n
+            if neg:
+                node = -node
+            if prod is not None:
+                _check_budget("degree", prod.degree + node.degree,
+                              "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
+                node = prod * node
+            if toks[i] == "*":
+                prod = node
+                i += 1
+                break
+            if total is not None:
+                node = total + node if sign == "+" else total - node
+            if toks[i] == "+" or toks[i] == "-":
+                total, sign, prod = node, toks[i], None
+                i += 1
+                break
+            if not stack:
+                return node, i
+            i = _expect(toks, i, ")", "')'")
+            total, sign, prod, neg = stack.pop()
 
 
 def _parse_whole(text: str, rule):
-    """Run one grammar rule over the whole text; trailing input is an error."""
-    parser = _Parser(text)
-    result = rule(parser)
-    if not parser.at_end():
-        parser.fail("unexpected trailing input")
-    return result
+    """Run one grammar rule over the whole text; trailing input is an error.
+
+    One regex scan gives the token strings. A rule takes a token only when it
+    is well formed, a number by isdecimal and a name by its first character,
+    so a text that parses holds no misfit: the tokens are searched for one,
+    and their code-point offsets found by a second scan, only when a rule
+    raises. The first misfit then wins over the rule's error, as if the text
+    had been checked before any rule ran."""
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    try:
+        result, i = rule(toks, 0)
+        if not toks[i]:
+            return result
+        raise ParseError("unexpected trailing input", i)
+    except (ParseError, ValueError) as exc:
+        starts = [m.start() for m in _TOKEN.finditer(text)]
+        starts.append(len(text))
+        for k, tok in enumerate(toks[:-1]):
+            c = tok[0]
+            if not (c in _STARTS or c.isalpha() or c.isdecimal()):
+                raise ParseError("unexpected character %r" % c, starts[k]) from None
+        if isinstance(exc, ParseError):
+            exc.position = starts[exc.position]
+        raise
 
 
 def parse_object(text: str):
     """Parse a sheaf or tilted-heart expression to its normal form."""
-    return _parse_whole(text, _Parser.object_expr)
+    return _parse_whole(text, _object)
 
 
 def parse_sheaf(text: str) -> CoherentSheaf:
     """Parse a plain sheaf expression; tilted forms and shifts are rejected."""
-    return _parse_whole(text, _Parser.sheaf_expr)
+    return _parse_whole(text, _sheaf)
 
 
 def parse_poly(text: str) -> Poly:
     """Parse an element of Q[t]: integers, fractions, t, + - * ^ and parens.
 
     A product or power over MAX_POLY_DEGREE or MAX_POLY_BITS raises ValueError."""
-    return _parse_whole(text, _Parser.poly_expr)
+    return _parse_whole(text, _poly)

@@ -125,6 +125,34 @@ def random_element(dom, rng: random.Random):
     return Poly([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))])
 
 
+def random_poly_text(rng: random.Random, depth: int = 2) -> str:
+    """A Q[t] expression text over the whole grammar: sums, products, powers,
+    unary minus, fractions and nested parentheses."""
+
+    def factor(level):
+        r = rng.random()
+        if level and r < 0.3:
+            base = "(%s)" % expr(level - 1)
+        elif r < 0.6:
+            base = "t"
+        elif r < 0.8:
+            base = str(rng.randint(0, 12))
+        else:
+            base = "%d/%d" % (rng.randint(0, 12), rng.randint(1, 9))
+        if rng.random() < 0.25:
+            base += "^%d" % rng.randint(0, 4)
+        return ("-" if rng.random() < 0.15 else "") + base
+
+    def expr(level):
+        text = "*".join(factor(level) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 2)):
+            text += rng.choice((" + ", " - ", "+", "-")) + "*".join(
+                factor(level) for _ in range(rng.randint(1, 2)))
+        return text
+
+    return expr(depth)
+
+
 def random_mat(dom, rng: random.Random, m: int, n: int) -> Mat:
     data = tuple(
         tuple(dom.convert(random_element(dom, rng)) for _ in range(n))

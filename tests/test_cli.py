@@ -102,6 +102,15 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("depth", [400, 10000])
+def test_deeply_nested_polynomials_exit_cleanly(capsys, depth):
+    # the Q[t] grammar keeps its nesting on a list, not on Python frames
+    assert run(capsys, "koszul", "(" * depth + "t" + ")" * depth) == run(capsys, "koszul", "t")
+    code, out, err = run(capsys, "koszul", "(" * depth + "t")
+    assert (code, out) == (2, "")
+    assert err == "error: parse error at position %d: expected ')'\n" % (depth + 1)
+
+
 def test_slope_sign_violation_is_input_error(capsys):
     code, _, err = run(capsys, "info", "tilted(O(1); O)")
     assert code == 2 and err

@@ -337,8 +337,9 @@ def test_decalage_integer_single():
 
 def test_decalage_over_rationals_is_pinned():
     # over a field f is a unit, so eta_f K is K again in the bases of the
-    # Smith forms of its differentials; these two are the only callers of
-    # RATIONALS.gcd (the gcd of an invariant factor with f^c)
+    # Smith forms of its differentials; these two call RATIONALS.gcd on an
+    # invariant factor and f^c, and koszul_cohomology and koszul_decalage call
+    # it on the Koszul elements (and on f)
     K = koszul(RATIONALS, (Fraction(2), Fraction(-3, 2), Fraction(5)))
     delta = ShiftProfile.identity(0, K.highest)
     E = decalage(K, Fraction(3), delta)

@@ -12,7 +12,8 @@ from ffcurve.polyring import Poly, T_VAR
 from ffcurve.sheaves import CoherentSheaf, O, T, TiltedObject, direct_sum, normalize
 from ffcurve.slopes import Slope
 
-from gen import random_sheaf, random_tilted
+import parser_oracle
+from gen import random_poly_text, random_sheaf, random_tilted
 
 
 def test_atom_and_sum():
@@ -84,6 +85,12 @@ def test_parse_errors_carry_positions():
         err = info.value
         assert 0 <= err.position <= len(text)
         assert str(err)
+
+
+def test_nested_tilted_is_refused_at_the_inner_keyword():
+    with pytest.raises(ParseError) as info:
+        parse_object("tilted(tilted(O(-1); O); O)")
+    assert str(info.value) == "parse error at position 7: expected an atom: O(...), T(...), or 0"
 
 
 def test_parse_sheaf_rejects_tilted():
@@ -165,3 +172,78 @@ def test_poly_round_trip():
 def test_poly_round_trip_hypothesis(coeffs):
     p = Poly(coeffs)
     assert parse_poly(str(p)) == p
+
+
+def test_deep_parentheses_parse_without_recursion():
+    # each level's unary minus and power apply when its ")" closes
+    for depth in (399, 10000):
+        want = -T_VAR if depth % 2 else T_VAR
+        assert parse_poly("-(" * depth + "t" + ")^1" * depth) == want
+
+
+# ---------------------------------------------- agreement with the old parser
+
+# edits over the grammar's characters and the lexical edge cases: a digit
+# int() refuses, a vulgar fraction, decimal digits of other scripts, the
+# infinity label, a stray symbol, a no-break space and a tab
+_EDIT_CHARS = list("OTtx_()[]^+;,/-*0127 ") + ["²", "½", "٣", "𝟘", "∞", "#", "\xa0", "\t"]
+_PARSERS = [(getattr(parser, name), getattr(parser_oracle, name))
+            for name in ("parse_object", "parse_sheaf", "parse_poly")]
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _base_text(kind, rng):
+    if kind == "sheaf":
+        return str(random_sheaf(rng, allow_zero=True))
+    if kind == "tilted":
+        return str(random_tilted(rng))
+    return random_poly_text(rng)
+
+
+# every rule's errors, and the lexical edge cases, written out
+_CORPUS = [
+    "", "O(", "O(1", "O(1/)", "O(1/0)", "O(1)^0", "O(1)^-2", "O(-1/-2)", "O(-)", "T(inf,[])",
+    "T(inf,[0])", "T(inf,[-1])", "T(inf,[2)", "T(inf,[2]", "T(2,[1])", "T(x[1])", "T x",
+    "T(x,1)", "O(1)+", "Q(1)", "O(1) O(2)", "tilted", "tilted O", "tilted(O(-1) O)",
+    "tilted(O(-1); O(1)) junk", "tilted(O(-1)[1]; O)", "tilted(O(-1); O", "O(-1)[2]",
+    "O(-1)[01]", "O(-1)[x]", "O(-1)[1", "O(-1)[1] + T(x,[1])[1]", "0[1]", "00", "O(1)[1]",
+    "O(²)", "O(3)^²", "T(x,[¹])", "T(x²,[1])", "O(٣)", "O(𝟘)", "T(∞,[2])", "T(_,[1])",
+    "O(1)#", "#O(1)", "O\xa0(1)", "O(\t1)", "½", "x½", "1½", "O(1)\u0301",
+    "t t", "t^-1", "t^", "t^x", "t^2^3", "1/0", "1/x", "2t", "(t", "t+", "*t", "t/2", "--t",
+    "-(t", "(t))", "t)", "2*-t", "t^17", "(t+1)^999999999999", "2^129", "t^16*t",
+    "1" * 5000, "O(%s)" % ("1" * 5000), "O(-1)[%s]" % ("1" * 5000),
+    # a misfit after the point where a rule fails or a budget runs out
+    "O(1) O(2) #", "T(#,[1])", "T(²x,[1])", "t^17 #", "t^17 ²", "O(%s)#" % ("1" * 5000),
+]
+
+
+def test_corpus_agrees_with_the_character_loop_oracle():
+    for text in _CORPUS:
+        for new, old in _PARSERS:
+            assert _outcome(new, text) == _outcome(old, text), text
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("sheaf", "tilted", "poly")),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                       st.sampled_from(("insert", "delete", "replace")),
+                       st.sampled_from(_EDIT_CHARS)), max_size=3),
+)
+def test_parsers_agree_with_the_character_loop_oracle(seed, kind, edits):
+    # the same values, or the same exception type and message (position and
+    # the budget ValueErrors included), from all three entry points
+    text = _base_text(kind, random.Random(seed))
+    for at, op, char in edits:
+        at %= len(text) + 1
+        rest = text[at:] if op == "insert" else text[at + 1:]
+        text = text[:at] + ("" if op == "delete" else char) + rest
+    for new, old in _PARSERS:
+        assert _outcome(new, text) == _outcome(old, text), text
