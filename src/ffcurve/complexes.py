@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import Frozen, _set
+from .errors import CertificateError, Frozen, _set
 from .exactalg import (
     CoeffDomain,
     Mat,
@@ -223,7 +223,7 @@ def _exact_div(dom: CoeffDomain, a, b):
         return a
     q, r = dom.divmod(a, b)
     if not dom.is_zero(r):
-        raise ArithmeticError("inexact division while re-presenting a term")
+        raise CertificateError("inexact division while re-presenting a term")
     return q
 
 

@@ -317,5 +317,7 @@ def parse_sheaf(text: str) -> CoherentSheaf:
 def parse_poly(text: str) -> Poly:
     """Parse an element of Q[t]: integers, fractions, t, + - * ^ and parens.
 
-    A product or power over MAX_POLY_DEGREE or MAX_POLY_BITS raises ValueError."""
+    A product or power whose degree is over MAX_POLY_DEGREE, or a power whose
+    exponent times the base's coefficient bits is over MAX_POLY_BITS, raises
+    ValueError."""
     return _parse_whole(text, _poly)

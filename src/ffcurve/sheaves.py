@@ -4,7 +4,10 @@ A coherent sheaf is stored in slope normal form: a bundle part given by a
 multiset of reduced slopes (the classification theorem makes every bundle a
 direct sum of stables O(d/h)) and a torsion part given by point labels with
 non-increasing invariant-factor lists. All cohomological data lives at the
-level of (dimension, height) pairs.
+level of (dimension, height) pairs, and on bundles it has a closed form:
+Hom(O(lam), O(mu)) is H^0(O(mu - lam)), of (dimension, height)
+(D, h_lam*h_mu) with D = d_mu*h_lam - d_lam*h_mu when D >= 0, and Ext^1 is
+-(D, h_lam*h_mu) when D < 0. H^0 and H^1 are the same pairing against O.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import CertificateError, Frozen, _set
-from .slopes import INFINITY, Slope, hom_slope_data, reduce
+from .slopes import INFINITY, Slope, reduce
 
 
 class BCInvariant(NamedTuple):
@@ -27,14 +30,8 @@ class BCInvariant(NamedTuple):
     def __sub__(self, other):
         return BCInvariant(self.dim - other[0], self.ht - other[1])
 
-    def scaled(self, n: int) -> "BCInvariant":
-        return BCInvariant(n * self.dim, n * self.ht)
-
     def __str__(self) -> str:
         return "(%d, %d)" % (self.dim, self.ht)
-
-
-ZERO_INV = BCInvariant(0, 0)
 
 BundleAtom = Tuple[Slope, int]
 TorsionAtom = Tuple[str, Tuple[int, ...]]
@@ -165,35 +162,33 @@ def hn(F: CoherentSheaf) -> List[Tuple[Slope, CoherentSheaf]]:
 # ------------------------------------------------------------------ cohomology
 
 
-def _stable_h0(s: Slope) -> BCInvariant:
-    # slope > 0: (d, h); slope 0: (0, 1); slope < 0: 0
-    if s.d > 0:
-        return BCInvariant(s.d, s.h)
-    if s.d == 0:
-        return BCInvariant(0, 1)
-    return ZERO_INV
+#: the bundle atoms of O, the source of H^0 = Hom(O, -) and H^1 = Ext^1(O, -)
+_UNIT = ((Slope(0), 1),)
 
 
-def _stable_h1(s: Slope) -> BCInvariant:
-    # vanishes for slope >= 0; (-d, -h) below
-    if s.d >= 0:
-        return ZERO_INV
-    return BCInvariant(-s.d, -s.h)
+def _pairing(src: Sequence[BundleAtom], dst: Sequence[BundleAtom], ext: bool) -> BCInvariant:
+    """Hom (ext false) or Ext^1 (ext true) between the bundle atoms.
+
+    O(lam)^a, O(mu)^b add a*b*(D, h_lam*h_mu), D = d_mu*h_lam - d_lam*h_mu,
+    to Hom when D >= 0 and its negative to Ext^1 when D < 0.
+    """
+    dim = ht = 0
+    for lam, a in src:
+        for mu, b in dst:
+            D = mu.d * lam.h - lam.d * mu.h
+            if (D < 0) == ext:
+                n = a * b
+                dim += n * D
+                ht += n * lam.h * mu.h
+    return BCInvariant(-dim, -ht) if ext else BCInvariant(dim, ht)
 
 
 def h0(F: CoherentSheaf) -> BCInvariant:
-    total = ZERO_INV
-    for s, m in F.bundle:
-        total = total + _stable_h0(s).scaled(m)
-    total = total + BCInvariant(F.torsion_length, 0)
-    return total
+    return _pairing(_UNIT, F.bundle, False) + (F.torsion_length, 0)
 
 
 def h1(F: CoherentSheaf) -> BCInvariant:
-    total = ZERO_INV
-    for s, m in F.bundle:
-        total = total + _stable_h1(s).scaled(m)
-    return total
+    return _pairing(_UNIT, F.bundle, True)
 
 
 def chi(F: CoherentSheaf) -> BCInvariant:
@@ -212,33 +207,20 @@ def chi(F: CoherentSheaf) -> BCInvariant:
 
 def hom(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
     """Hom-space invariant, bilinear over the normal forms."""
-    total = ZERO_INV
-    for lam, a in F.bundle:
-        for mu, b in G.bundle:
-            nu, m = hom_slope_data(lam, mu)
-            total = total + _stable_h0(nu).scaled(a * b * m)
-        # bundle into torsion: rank * length sections of the stalk
-        total = total + BCInvariant(lam.h * a * G.torsion_length, 0)
-    total = total + BCInvariant(_torsion_pairing(F, G), 0)
-    return total
+    # bundle into torsion: rank * length sections of the stalk
+    tors = F.rank * G.torsion_length + _torsion_pairing(F, G)
+    return _pairing(F.bundle, G.bundle, False) + (tors, 0)
 
 
 def ext1(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
-    total = ZERO_INV
-    for lam, a in F.bundle:
-        for mu, b in G.bundle:
-            nu, m = hom_slope_data(lam, mu)
-            total = total + _stable_h1(nu).scaled(a * b * m)
     # torsion against bundles: dual pairing, length * rank
-    t_len = F.torsion_length
-    total = total + BCInvariant(t_len * G.rank, 0)
-    total = total + BCInvariant(_torsion_pairing(F, G), 0)
-    return total
+    tors = F.torsion_length * G.rank + _torsion_pairing(F, G)
+    return _pairing(F.bundle, G.bundle, True) + (tors, 0)
 
 
 def ext2(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
     # the curve is regular of dimension 1
-    return ZERO_INV
+    return BCInvariant(0, 0)
 
 
 def _torsion_pairing(F: CoherentSheaf, G: CoherentSheaf) -> int:

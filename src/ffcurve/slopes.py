@@ -104,7 +104,9 @@ def hom_slope_data(lam: Slope, mu: Slope) -> Tuple[Slope, int]:
     Returns (nu, m) with nu = mu - lam reduced and m the multiplicity of
     O(nu) inside Hom(O(lam), O(mu)). The multiplicity is forced by rank
     additivity: h_lam * h_mu = m * h_nu, and satisfies the matching degree
-    identity h_lam * h_mu * (mu - lam) = m * d_nu.
+    identity h_lam * h_mu * (mu - lam) = m * d_nu. This is the internal-Hom
+    derivation that the tests check the closed-form sheaves.hom and
+    sheaves.ext1 against.
     """
     if not (lam.is_finite and mu.is_finite):
         raise ValueError("hom_slope_data is defined for finite slopes only")

@@ -103,7 +103,8 @@ def hn_minus(A: TiltedObject) -> List[Tuple[object, TiltedObject]]:
 
     Order of atom families: shifted negative stables (mu- = -1/slope > 0),
     torsion (mu- = 0), positive stables (mu- = -h/d < 0), slope-0 bundles
-    (mu- = minus infinity).
+    (mu- = minus infinity). mu- = -h/d falls as d/h falls within each sign,
+    so reading each part in its stored descending slope order needs no sort.
     """
     if A.is_zero:
         raise ValueError("the zero object has no HN filtration")
@@ -118,7 +119,6 @@ def hn_minus(A: TiltedObject) -> List[Tuple[object, TiltedObject]]:
     for s, m in A.pos.bundle:
         mu = MU_MINUS_INFINITY if s.d == 0 else Fraction(-s.h, s.d)
         pieces.append((mu, TiltedObject(zero, CoherentSheaf(((s, m),), ()))))
-    pieces.sort(key=lambda p: p[0], reverse=True)
     return pieces
 
 

@@ -160,6 +160,20 @@ def test_bc_json(capsys):
     want = bc.dim_ht(tilting.tilt(parse_sheaf("O(-2)")))
     payload = run_json(capsys, "bc", "O(-2)", "--json")
     assert (payload["descriptor"]["dim"], payload["descriptor"]["ht"]) == tuple(want)
+    # the paper's two basic spaces: Qp from O, Ga from torsion
+    text = "O^2 + T(inf,[3]) + T(x,[2,1])"
+    code, out, err = run(capsys, "bc", text)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["descriptor: Ga[3] + Ga[2,1]@x + Qp^2", "dim/ht: (6, 2)"]
+    payload = run_json(capsys, "bc", text, "--json")
+    assert payload["descriptor"]["atoms"] == [
+        {"kind": "Ga", "label": "inf", "lengths": [3]},
+        {"kind": "Ga", "label": "x", "lengths": [2, 1]},
+        {"kind": "Qp", "mult": 2},
+    ]
+    assert (payload["descriptor"]["dim"], payload["descriptor"]["ht"]) == (6, 2)
+    code, out, _ = run(capsys, "bc", "O")
+    assert code == 0 and out.splitlines()[1] == "descriptor: Qp"
 
 
 def test_present(capsys):
@@ -336,6 +350,18 @@ def test_certificate_failure_exit_code(capsys, monkeypatch):
     real_d = derham._d
     monkeypatch.setattr(derham, "_d", lambda f: {g: 2 * c for g, c in real_d(f).items()})
     code, out, err = run(capsys, "derham", "2", "--trunc", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_inexact_division_is_a_certificate_failure(capsys, monkeypatch):
+    # t + 1 divides neither t nor the gcd it claims to be, so eta's exact
+    # division by gcd(f, g) fails
+    real_gcd = exactalg.POLY_OVER_RATIONALS.gcd
+    wrong = parse_poly("t + 1")
+    monkeypatch.setattr(exactalg.POLY_OVER_RATIONALS, "gcd",
+                        lambda a, b: wrong if a and b else real_gcd(a, b))
+    code, out, err = run(capsys, "eta", "t", "t")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 

@@ -283,6 +283,8 @@ def test_profile_validation():
         ShiftProfile(0, (0, -1))
     with pytest.raises(ValueError):
         ShiftProfile(0, ())
+    with pytest.raises(ValueError, match="lo >= 0"):
+        ShiftProfile.identity(-1, 2)
     p = ShiftProfile.identity(0, 3)
     assert [p(j) for j in (-2, 0, 1, 3, 9)] == [0, 0, 1, 3, 3]
     assert ShiftProfile.constant(0)(5) == 0
@@ -296,6 +298,10 @@ def test_decalage_zero_profile_is_identity():
 def test_decalage_rejects_zero():
     with pytest.raises(ValueError):
         decalage(koszul(POLY, (t,)), Poly(), ShiftProfile.constant(0))
+    with pytest.raises(ValueError, match="non-zero-divisor"):
+        koszul_decalage(POLY, 0, (t,))
+    with pytest.raises(ValueError, match="non-zero-divisor"):
+        decalage_map(identity_chain_map(koszul(POLY, (t,))), 0, ShiftProfile.constant(0))
 
 
 def test_decalage_divides_single():
@@ -371,6 +377,8 @@ def test_chain_map_validation():
             INTEGERS, 0, (1, 1, 0), C.differentials + (zeros(INTEGERS, 0, 1),)
         )
         ChainMap(C, wider, (identity(INTEGERS, 1),) * 2)
+    with pytest.raises(ValueError, match="one component per degree"):
+        ChainMap(C, C, (identity(INTEGERS, 1),))
     # non-commuting square
     with pytest.raises(ValueError):
         ChainMap(

@@ -1,8 +1,9 @@
 """Mathematical checks raise CertificateError, never a bare assert.
 
-Each check gets an input corrupted through monkeypatch; the last two tests
-keep `assert` out of the library, since `python -O` strips it, and keep
-floating point out of it, since every answer is exact.
+Each check gets an input corrupted through monkeypatch; the last three tests
+keep `assert` out of the library, since `python -O` strips it, keep
+floating point out of it, since every answer is exact, and keep every raise
+to a type the CLI maps to an exit code or to a library-misuse type.
 
 d o d = 0 is not here: the BoundedComplex constructor checks it and raises
 ValueError (test_complexes.py, test_composition_must_vanish), and cohomology
@@ -69,5 +70,31 @@ def test_library_has_no_float():
         for path in files
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if _is_float(node)
+    ]
+    assert found == []
+
+
+#: exception types cli.main maps to exit code 2 (ParseError, UsageError) or 1
+CLI_MAPPED = {"ParseError", "UsageError", "ValueError", "CertificateError"}
+#: library misuse that no CLI input reaches: immutability guards and the
+#: package's __getattr__ (AttributeError), domain conversion and function-space
+#: checks (TypeError), Poly division by zero (ZeroDivisionError)
+LIBRARY_MISUSE = {"AttributeError", "TypeError", "ZeroDivisionError"}
+
+
+def _raised_name(node: ast.Raise):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else ast.dump(exc)
+
+
+def test_library_raises_only_mapped_or_misuse_types():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, _raised_name(node))
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _raised_name(node) not in CLI_MAPPED | LIBRARY_MISUSE
     ]
     assert found == []

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcurve.bc import effective_presentation
 from ffcurve.sheaves import (
@@ -37,7 +38,7 @@ from ffcurve.sheaves import (
     se2,
     se3,
 )
-from ffcurve.slopes import INFINITY, reduce
+from ffcurve.slopes import INFINITY, Slope, hom_slope_data, reduce
 
 from gen import random_sheaf, record_samples
 
@@ -66,6 +67,8 @@ def test_normalize_rejects_bad_input():
         normalize([], [("inf", (0,))])
     with pytest.raises(ValueError):
         normalize([], [("inf", ())])
+    with pytest.raises(ValueError, match="finite slopes"):
+        normalize([(INFINITY, 1)], [])
 
 
 def test_bundle_sorted_descending_and_zero_form():
@@ -250,6 +253,69 @@ def test_hom_bilinear_over_direct_sum():
         F1, F2, G = random_sheaf(rng), random_sheaf(rng), random_sheaf(rng)
         assert hom(direct_sum(F1, F2), G) == hom(F1, G) + hom(F2, G)
         assert ext1(G, direct_sum(F1, F2)) == ext1(G, F1) + ext1(G, F2)
+
+
+# The per-pair derivation hom and ext1 used before their closed form, kept
+# unchanged as an oracle: the internal Hom O(nu)^m of each atom pair from
+# hom_slope_data, then h0 or h1 of the stable O(nu), scaled by a*b*m.
+
+
+def _stable_h0(s: Slope):
+    # slope > 0: (d, h); slope 0: (0, 1); slope < 0: 0
+    if s.d > 0:
+        return (s.d, s.h)
+    if s.d == 0:
+        return (0, 1)
+    return (0, 0)
+
+
+def _stable_h1(s: Slope):
+    # vanishes for slope >= 0; (-d, -h) below
+    if s.d >= 0:
+        return (0, 0)
+    return (-s.d, -s.h)
+
+
+def _oracle(stable, F, G, tors):
+    dim, ht = tors, 0
+    for lam, a in F.bundle:
+        for mu, b in G.bundle:
+            nu, m = hom_slope_data(lam, mu)
+            sd, sh = stable(nu)
+            dim, ht = dim + a * b * m * sd, ht + a * b * m * sh
+    return BCInvariant(dim, ht)
+
+
+def _oracle_hom(F, G):
+    tors = sum(lam.h * a * G.torsion_length for lam, a in F.bundle)
+    return _oracle(_stable_h0, F, G, tors + _torsion_min_pairing(F, G))
+
+
+def _oracle_ext1(F, G):
+    return _oracle(_stable_h1, F, G, F.torsion_length * G.rank + _torsion_min_pairing(F, G))
+
+
+def _torsion_min_pairing(F, G):
+    gt = dict(G.torsion)
+    return sum(min(a, b) for label, fs in F.torsion for a in fs for b in gt.get(label, ()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle(seed, share_slope):
+    rng = random.Random(seed)
+    F = random_sheaf(rng, max_bundle_atoms=4, dmax=6, hmax=4)
+    G = random_sheaf(rng, max_bundle_atoms=4, dmax=6, hmax=4)
+    if share_slope:
+        # an equal-slope pair (D = 0) with a multiplicity > 1 on one side
+        s = (F.bundle or G.bundle or ((reduce(1, 3), 1),))[0][0]
+        G = direct_sum(G, O(s.d, s.h, mult=rng.randint(2, 3)))
+    assert hom(F, G) == _oracle_hom(F, G)
+    assert ext1(F, G) == _oracle_ext1(F, G)
+    unit = O(0)
+    for X in (F, G):
+        assert h0(X) == _oracle_hom(unit, X)
+        assert h1(X) == _oracle_ext1(unit, X)
 
 
 # -------------------------------------------------------------------------- K0
