@@ -53,17 +53,12 @@ def _mu_str(mu) -> str:
     return str(mu)
 
 
-def _require_sheaf(x, verb: str):
+def _require(x, verb: str, tilted: bool = False):
+    """x, if it is a tilted object exactly when the verb asks for one."""
     from .sheaves import TiltedObject
-    if isinstance(x, TiltedObject):
-        raise ValueError("%s expects a coherent sheaf, got a tilted object" % verb)
-    return x
-
-
-def _require_tilted(x, verb: str):
-    from .sheaves import TiltedObject
-    if not isinstance(x, TiltedObject):
-        raise ValueError("%s expects a tilted object, got a coherent sheaf" % verb)
+    if isinstance(x, TiltedObject) != tilted:
+        kinds = ("a coherent sheaf", "a tilted object")
+        raise ValueError("%s expects %s, got %s" % (verb, kinds[tilted], kinds[not tilted]))
     return x
 
 
@@ -203,7 +198,7 @@ def _info_tilted(args, A) -> None:
 def cmd_hn(args) -> None:
     from . import sheaves
     from .parser import parse_object
-    F = _require_sheaf(parse_object(args.object), "hn")
+    F = _require(parse_object(args.object), "hn")
     pieces = sheaves.hn(F)
     vertices = [(0, 0)]
     rows = []
@@ -233,8 +228,8 @@ def cmd_hn(args) -> None:
 def _binary_verb(args, name: str) -> None:
     from . import sheaves
     from .parser import parse_object
-    F = _require_sheaf(parse_object(args.first), name)
-    G = _require_sheaf(parse_object(args.second), name)
+    F = _require(parse_object(args.first), name)
+    G = _require(parse_object(args.second), name)
     v = getattr(sheaves, name)(F, G)
     _emit(args, name, ["%s" % (v,)], _pair(v))
 
@@ -242,7 +237,7 @@ def _binary_verb(args, name: str) -> None:
 def cmd_chi(args) -> None:
     from . import sheaves
     from .parser import parse_object
-    F = _require_sheaf(parse_object(args.object), "chi")
+    F = _require(parse_object(args.object), "chi")
     v = sheaves.chi(F)
     _emit(args, "chi", ["%s" % (v,)], _pair(v))
 
@@ -258,7 +253,7 @@ def cmd_k0(args) -> None:
 def cmd_tilt(args) -> None:
     from . import tilting
     from .parser import parse_object
-    F = _require_sheaf(parse_object(args.object), "tilt")
+    F = _require(parse_object(args.object), "tilt")
     A = tilting.tilt(F)
     _emit(args, "tilt", [str(A)], {"object": str(F), "tilted": str(A)})
 
@@ -266,7 +261,7 @@ def cmd_tilt(args) -> None:
 def cmd_untilt(args) -> None:
     from . import tilting
     from .parser import parse_object
-    A = _require_tilted(parse_object(args.object), "untilt")
+    A = _require(parse_object(args.object), "untilt", True)
     F = tilting.double_tilt(A)
     _emit(args, "untilt", [str(F)], {"object": str(A), "sheaf": str(F)})
 

@@ -51,7 +51,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from .errors import CertificateError, _render_terms
+from .errors import CertificateError, _check_budget, _check_int, _render_terms
 
 Key = Tuple[int, ...]
 
@@ -113,14 +113,13 @@ class _Combo:
     _KEYS_ADD = False
 
     def __init__(self, arity: int, coeffs: Dict[Key, Fraction]):
-        if not isinstance(arity, int) or arity < 1:
-            raise ValueError("arity must be a positive integer")
+        _check_int(arity, "arity", 1)
         clean: Dict[Key, Fraction] = {}
         for key, value in coeffs.items():
-            key = tuple(key)
-            if len(key) != arity or any(not isinstance(e, int) or e < 0 for e in key):
+            key = tuple(_check_int(e, "exponent", 0) for e in key)
+            if len(key) != arity:
                 raise ValueError("bad basis key %r for arity %d" % (key, arity))
-            value = Fraction(value)
+            value = Fraction(_check_int(value, "coefficient", also=(Fraction,)))
             if value:
                 clean[key] = value
         self.arity = arity
@@ -134,7 +133,7 @@ class _Combo:
 
     @classmethod
     def constant(cls, arity: int, value) -> "_Combo":
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     # -- ring-ish structure ------------------------------------------------
 
@@ -175,8 +174,6 @@ class _Combo:
         return type(self)(self.arity, {k: -v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return type(self)(self.arity, {k: v * other for k, v in self.coeffs.items()})
         if type(other) is type(self):
             self._same_space(other)
             width = max(self.degree() + other.degree(), 1).bit_length()
@@ -184,16 +181,16 @@ class _Combo:
             out = self._product(a, b.items(), self.arity, width, True)
             return type(self)(self.arity, {_decode(k, self.arity, width): v
                                            for k, v in out.items()})
-        return NotImplemented
+        try:  # a scalar: an int or a Fraction
+            other = _check_int(other, "a scalar", also=(Fraction,))
+        except TypeError:
+            return NotImplemented
+        return type(self)(self.arity, {k: v * other for k, v in self.coeffs.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("power must be a non-negative integer")
+        _check_int(power, "power", 0)
         out = type(self).constant(self.arity, 1)
         for bit in bin(power)[2:]:  # square and multiply, leading bit first
             out = out * out * self if bit == "1" else out * out
@@ -208,12 +205,11 @@ class _Combo:
         assignment = tuple(tuple(slot) for slot in assignment)
         if len(assignment) != self.arity:
             raise ValueError("assignment must cover %d argument slots" % self.arity)
-        if not isinstance(out_arity, int) or out_arity < 1:
-            raise ValueError("output arity must be a positive integer")
+        _check_int(out_arity, "output arity", 1)
         for slot in assignment:
             if not slot:
                 raise ValueError("empty argument slot")
-            if any(not isinstance(j, int) or j < 0 or j >= out_arity for j in slot):
+            if any(_check_int(j, "variable index", 0) >= out_arity for j in slot):
                 raise ValueError("variable index out of range")
             if len(set(slot)) != len(slot):
                 raise ValueError("argument slot repeats a variable")
@@ -498,11 +494,8 @@ def _positions(keys: List[Key]) -> Dict[Key, int]:
 def symmetric_2cocycle_report(q: int) -> dict:
     """Kernel of the second pullback on homogeneous degree-q polynomials of
     two variables (the symmetric 2-cocycles), with the coboundary line."""
-    if not isinstance(q, int) or q < 1:
-        raise ValueError("degree must be a positive integer")
-    if q > MAX_COCYCLE_DEGREE:
-        raise ValueError("degree %d is over the budget MAX_COCYCLE_DEGREE = %d"
-                         % (q, MAX_COCYCLE_DEGREE))
+    _check_int(q, "degree", 1)
+    _check_budget(q, "MAX_COCYCLE_DEGREE", MAX_COCYCLE_DEGREE, "degree %d is")
     source_keys = _keys_of_degree(2, q)
     out_keys = (_keys_of_degree(3, q), _keys_of_degree(2, q))
     rows = _pullback_rows(_D2, PolyFunc, source_keys, out_keys)
@@ -548,14 +541,11 @@ def hom_column_checks(degree_poly: int = 6, degree_mahler: int = 4) -> dict:
 
     (a) and (c) are certified from closed forms; CertificateError otherwise.
     """
-    if not isinstance(degree_poly, int) or not isinstance(degree_mahler, int):
-        raise ValueError("degree bounds must be integers")
-    if degree_poly < 1 or degree_mahler < 1:
-        # both windows must contain the identity function, of degree 1
-        raise ValueError("degree bounds must be at least 1")
-    if max(degree_poly, degree_mahler) > MAX_COLUMN_DEGREE:
-        raise ValueError("degree bounds (%d, %d) are over the budget MAX_COLUMN_DEGREE = %d"
-                         % (degree_poly, degree_mahler, MAX_COLUMN_DEGREE))
+    # both windows must contain the identity function, of degree 1
+    _check_int(degree_poly, "degree_poly", 1)
+    _check_int(degree_mahler, "degree_mahler", 1)
+    _check_budget(max(degree_poly, degree_mahler), "MAX_COLUMN_DEGREE", MAX_COLUMN_DEGREE,
+                  "degree bounds (%d, %d) are", degree_poly, degree_mahler)
     _certified_d1(PolyFunc, degree_poly, "polynomial d1* up to degree %d" % degree_poly)
     poly_report = {
         "degree_bound": degree_poly,

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import CertificateError, Frozen, _set
+from .errors import CertificateError, Frozen, _check_budget, _check_int, _set
 from .exactalg import (
     CoeffDomain,
     Mat,
@@ -124,9 +124,7 @@ def _admitted(dom: CoeffDomain, elements: Sequence) -> list:
     if not gs:
         raise ValueError("koszul needs at least one element")
     coeffs = sum(len(getattr(g, "coeffs", (g,))) for g in gs) << (len(gs) - 1)
-    if coeffs > MAX_KOSZUL_COEFFS:
-        raise ValueError("%d Koszul coefficients are over the budget MAX_KOSZUL_COEFFS = %d"
-                         % (coeffs, MAX_KOSZUL_COEFFS))
+    _check_budget(coeffs, "MAX_KOSZUL_COEFFS", MAX_KOSZUL_COEFFS, "%d Koszul coefficients are")
     return gs
 
 
@@ -157,12 +155,21 @@ def koszul(dom: CoeffDomain, elements: Sequence) -> BoundedComplex:
     return BoundedComplex(dom, 0, ranks, tuple(diffs))
 
 
+def _gcd(dom: CoeffDomain, gs: list):
+    """The gcd of the elements, checked to divide each; coprime cofactors are not."""
+    g = reduce(dom.gcd, gs, dom.zero)
+    for x in gs:
+        if not dom.divides(g, x):
+            raise CertificateError("the gcd %s does not divide the element %s" % (g, x))
+    return g
+
+
 def koszul_cohomology(dom: CoeffDomain, elements: Sequence) -> Dict[int, Tuple[int, Tuple]]:
     """cohomology(koszul(dom, elements)) from the gcd g of the k elements: GL_k
     moves them to (g, 0, ..., 0), so K is the sum of the K(g)[-j], C(k-1, j)
-    times (Eisenbud, Commutative Algebra, ch. 17)."""
+    times (Eisenbud, Commutative Algebra, ch. 17). _gcd checks g | f_i, not coprimality."""
     gs = _admitted(dom, elements)
-    k, g = len(gs), reduce(dom.gcd, gs, dom.zero)
+    k, g = len(gs), _gcd(dom, gs)
     if dom.is_zero(g):
         return {j: (comb(k, j), ()) for j in range(k + 1)}
     torsion = () if g == dom.one else (g,)
@@ -174,12 +181,13 @@ def koszul_decalage(dom: CoeffDomain, f, elements: Sequence) -> BoundedComplex:
     profile): eta_f K(g) = K(h) for h = g / gcd(f, g) (Bhatt-Morrow-Scholze,
     Integral p-adic Hodge theory, §6), so it is the sum of the K(-h)[-j],
     C(k-1, j) times. Term m lists the sources of the j = m summands, then the
-    targets of the j = m - 1 ones; h is monic over Q[t], positive over Z."""
+    targets of the j = m - 1 ones; h is monic over Q[t], positive over Z. g is
+    checked as in koszul_cohomology."""
     gs = _admitted(dom, elements)
     f = dom.convert(f)
     if dom.is_zero(f):
         raise ValueError("decalage needs a non-zero-divisor f")
-    k, g = len(gs), reduce(dom.gcd, gs, dom.zero)
+    k, g = len(gs), _gcd(dom, gs)
     h = -_exact_div(dom, g, dom.gcd(f, g))
     ranks = tuple(comb(k, m) for m in range(k + 1))
     # source c of a j = m summand maps to its target, after the C(k-1, m+1) j = m + 1 sources
@@ -196,11 +204,10 @@ class ShiftProfile(Frozen):
     """delta tabulated on [lo, lo+len-1], clamped constant outside."""
 
     def __init__(self, lo: int, values: Tuple[int, ...]):
+        values = tuple(_check_int(v, "shift value", 0) for v in values)
         if not values:
             raise ValueError("shift profile needs at least one value")
-        if any(v < 0 for v in values):
-            raise ValueError("shift values must be non-negative")
-        _set(self, "lo", lo)
+        _set(self, "lo", _check_int(lo, "lo"))
         _set(self, "values", values)
 
     def __call__(self, j: int) -> int:
@@ -350,18 +357,13 @@ def cone(phi: ChainMap) -> BoundedComplex:
     dom = src.domain
     N = len(src.ranks)
     lo = src.lowest - 1
-
-    def a(i):  # source part of cone index i
-        return src.ranks[i] if i < N else 0
-
-    def b(i):  # target part
-        return tgt.ranks[i - 1] if i >= 1 else 0
-
-    ranks = tuple(a(i) + b(i) for i in range(N + 1))
+    a = (*src.ranks, 0)  # source part of each cone index
+    b = (0, *tgt.ranks)  # target part
+    ranks = tuple(a[i] + b[i] for i in range(N + 1))
     diffs = []
     for i in range(N):
         top_left = (
-            mat_neg(src.differentials[i]) if i < N - 1 else zeros(dom, 0, a(i))
+            mat_neg(src.differentials[i]) if i < N - 1 else zeros(dom, 0, a[i])
         )
         bottom_left = phi.components[i]
         bottom_right = (
@@ -369,7 +371,7 @@ def cone(phi: ChainMap) -> BoundedComplex:
         )
         rows = []
         for r in range(top_left.rows):
-            rows.append(top_left.data[r] + tuple(dom.zero for _ in range(b(i))))
+            rows.append(top_left.data[r] + tuple(dom.zero for _ in range(b[i])))
         for r in range(bottom_left.rows):
             rows.append(bottom_left.data[r] + bottom_right.data[r])
         diffs.append(Mat(ranks[i + 1], ranks[i], tuple(rows)))

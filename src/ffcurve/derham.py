@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import CertificateError, Frozen, _set
+from .errors import CertificateError, Frozen, _check_budget, _check_int, _set
 
 Form = int  # basis form x^expo dx_S, coded as below
 Vec = Dict[Form, int]  # sparse integer combination of basis forms
@@ -124,11 +124,10 @@ def _form_count(n: int, D: int) -> int:
 
 
 def _check_sizes(n: int, D: int) -> None:
-    if n < 1 or D < 1:
-        raise ValueError("need n >= 1 and D >= 1")
-    if _form_count(n, D) > MAX_DERHAM_FORMS:
-        raise ValueError("n = %d, D = %d is over the budget MAX_DERHAM_FORMS = %d"
-                         % (n, D, MAX_DERHAM_FORMS))
+    _check_int(n, "n", 1)
+    _check_int(D, "D", 1)
+    _check_budget(_form_count(n, D), "MAX_DERHAM_FORMS", MAX_DERHAM_FORMS,
+                  "n = %d, D = %d is", n, D)
 
 
 def ga_cohomology(n: int, D: int) -> Dict[int, Dict[int, int]]:

@@ -1,5 +1,5 @@
-"""Typed errors of the library's checks and parser; the frozen record base;
-the renderer of signed sums shared by Q[t] and the cocycle function spaces."""
+"""Typed errors, and the one integer rule and one budget rule that admit input;
+the frozen record base; the signed-sum renderer of Q[t] and cocycle spaces."""
 
 #: stores a field of a Frozen record from its __init__
 _set = object.__setattr__
@@ -47,6 +47,27 @@ def _render_terms(pairs) -> str:
         else:
             chunks.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(chunks) or "0"
+
+
+def _check_int(x, what: str, lo: int = None, also: tuple = ()):
+    """x if it is an int but not a bool (or an instance of a type in also) and
+    not below lo: TypeError for another type, ValueError for a smaller value."""
+    if type(x) is not int and (type(x) is bool or not isinstance(x, (int, *also))):
+        kinds = "".join(" or a " + t.__name__ for t in also)
+        raise TypeError("%s must be an int%s, got %r" % (what, kinds, x))
+    if lo is not None and x < lo:
+        raise ValueError("%s must be >= %d, got %s" % (what, lo, x))
+    return x
+
+
+class BudgetError(ValueError):
+    """A call over a work budget, refused before any of its work."""
+
+
+def _check_budget(value: int, name: str, cap: int, lead: str, *args) -> None:
+    """Raise BudgetError("<lead % (args or value)> over the budget NAME = CAP") if value > cap."""
+    if value > cap:
+        raise BudgetError("%s over the budget %s = %d" % (lead % (args or (value,)), name, cap))
 
 
 class CertificateError(Exception):

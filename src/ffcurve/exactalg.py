@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Any, Sequence, Tuple
 
-from .errors import CertificateError, Frozen, _set
+from .errors import CertificateError, Frozen, _check_int, _set
 from .polyring import Poly, _mul_add, poly_gcd
 
 
@@ -72,9 +72,7 @@ class _Integers(CoeffDomain):
     one = 1
 
     def convert(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError("INTEGERS expects int, got %r" % (x,))
-        return x
+        return _check_int(x, "an INTEGERS element")
 
     def norm(self, a) -> int:
         return abs(a)
@@ -98,7 +96,7 @@ class _Rationals(CoeffDomain):
     one = Fraction(1)
 
     def convert(self, x):
-        return Fraction(x)
+        return Fraction(_check_int(x, "a RATIONALS element", also=(Fraction,)))
 
     def divmod(self, a, b):
         return a / b, Fraction(0)
@@ -125,11 +123,7 @@ class _PolyOverRationals(CoeffDomain):
     one = Poly.const(1)
 
     def convert(self, x):
-        if isinstance(x, Poly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Poly.const(x)
-        raise TypeError("POLY_OVER_RATIONALS expects Poly, got %r" % (x,))
+        return x if isinstance(x, Poly) else Poly.const(x)
 
     def is_zero(self, a) -> bool:
         return a.is_zero

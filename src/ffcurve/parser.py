@@ -19,10 +19,10 @@ Q[t] grammar:
 
 Lexical rules: whitespace (str.isspace) separates tokens. A number is a run
 of Unicode decimal digits, read as int() reads it, so "٣" is 3. A name starts
-with a letter or "_" and goes on over letters, digits and "_" (str.isalnum),
-so "x²" is a torsion label; "∞" is a name, an alias of the label "inf". The
-symbols are ( ) [ ] ^ + ; , / - *. Any other character is an error, and so
-is a numeral that is no decimal digit, such as "²" or "½", where a token
+with a letter or "_" and goes on over letters, digits and "_" (str.isalnum):
+a torsion label, such as "x²", by sheaves._is_label; "∞" is an alias of "inf".
+The symbols are ( ) [ ] ^ + ; , / - *. Any other character is an error, and
+so is a numeral that is no decimal digit, such as "²" or "½", where a token
 starts; the first one is reported before any grammar error.
 
 The printed normal forms of CoherentSheaf and TiltedObject parse back to
@@ -36,7 +36,7 @@ import re
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import ParseError
+from .errors import ParseError, _check_budget
 
 if TYPE_CHECKING:
     from .polyring import Poly
@@ -78,11 +78,6 @@ MAX_POLY_DEGREE = 16
 MAX_POLY_BITS = 256
 
 
-def _check_budget(what: str, value: int, name: str, cap: int) -> None:
-    if value > cap:
-        raise ValueError("%s %d is over the budget %s = %d" % (what, value, name, cap))
-
-
 # Grammar rules take the token list, ended by "", and an index and return
 # (value, next index); they raise ParseError at a token index, turned into a
 # text offset by _parse_whole.
@@ -111,9 +106,7 @@ def _signed_int(toks, i):
 
 
 def _positive_int(toks, i, what: str):
-    if toks[i] == "-":
-        raise ParseError("%s must be positive" % what, i)
-    value = _number(toks, i, what)
+    value = 0 if toks[i] == "-" else _number(toks, i, what)
     if value < 1:
         raise ParseError("%s must be positive" % what, i)
     return value, i + 1
@@ -149,7 +142,7 @@ def _sum(toks, i, allow_shift: bool):
         elif tok == "T":
             i = _expect(toks, i + 1, "(", "'(' after T")
             label = toks[i]
-            if not (label[:1].isalpha() or label[:1] == "_" or label == "∞"):
+            if not sheaves._is_label(label):
                 raise ParseError("expected a torsion label", i)
             i = _expect(toks, _expect(toks, i + 1, ",", "','"), "[", "'['")
             factor, i = _torsion_factor(toks, i)
@@ -251,14 +244,14 @@ def _poly(toks, i):
                 i += 2
                 bits = max((max(abs(c.numerator), c.denominator).bit_length()
                             for c in node.coeffs), default=0)
-                _check_budget("degree", n * node.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
-                _check_budget("coefficient bits", n * bits, "MAX_POLY_BITS", MAX_POLY_BITS)
+                _check_budget(n * node.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE, "degree %d is")
+                _check_budget(n * bits, "MAX_POLY_BITS", MAX_POLY_BITS, "coefficient bits %d is")
                 node = node ** n
             if neg:
                 node = -node
             if prod is not None:
-                _check_budget("degree", prod.degree + node.degree,
-                              "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
+                _check_budget(prod.degree + node.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE,
+                              "degree %d is")
                 node = prod * node
             if toks[i] == "*":
                 prod = node
@@ -319,5 +312,5 @@ def parse_poly(text: str) -> Poly:
 
     A product or power whose degree is over MAX_POLY_DEGREE, or a power whose
     exponent times the base's coefficient bits is over MAX_POLY_BITS, raises
-    ValueError."""
+    errors.BudgetError, a ValueError."""
     return _parse_whole(text, _poly)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Tuple
 
-from .errors import _render_terms
+from .errors import _check_int, _render_terms
 
 
 def _new(n: tuple, d: int) -> "Poly":
@@ -122,7 +122,7 @@ class Poly:
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(_check_int(c, "a Q[t] coefficient", also=(Fraction,))) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         # over the lcm of the reduced denominators the numerators are coprime to it
@@ -132,7 +132,7 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        c = Fraction(value)
+        c = Fraction(_check_int(value, "a Q[t] coefficient", also=(Fraction,)))
         return _new((c.numerator,), c.denominator) if c else _ZERO
 
     @property
@@ -161,9 +161,10 @@ class Poly:
     def _coerced(self, other) -> "Poly":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return Poly.const(other)
-        return NotImplemented
+        except TypeError:  # not an exact number: a bool, float, str, ...
+            return NotImplemented
 
     def _plus(self, q: "Poly", sign: int) -> "Poly":
         """self + sign*q over the least common denominator."""
@@ -215,8 +216,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
+        _check_int(n, "a Q[t] exponent", 0)
         a = self._n
         if len(a) <= 1 or not any(a[:-1]):
             # c t^k, zero included: (c t^k)^n = c^n t^(kn), still in lowest terms
@@ -278,15 +278,16 @@ class Poly:
         return _canon(list(a), lead)
 
     def __call__(self, x):
-        value = Fraction(0) if isinstance(x, (int, Fraction)) else Poly()
+        if not isinstance(x, Poly):
+            x = Fraction(_check_int(x, "a point of evaluation", also=(Fraction,)))
+        value = x - x
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        return isinstance(other, Poly) and self._n == other._n and self._d == other._d
+        q = self._coerced(other)
+        return q is not NotImplemented and self._n == q._n and self._d == q._d
 
     def __hash__(self):
         # a constant hashes as the number it equals

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .errors import CertificateError, Frozen, _set
+from .errors import CertificateError, Frozen, _check_int, _set
 from .slopes import INFINITY, Slope, reduce
 
 
@@ -37,12 +37,22 @@ BundleAtom = Tuple[Slope, int]
 TorsionAtom = Tuple[str, Tuple[int, ...]]
 
 
+def _is_label(text: str) -> bool:
+    """The one torsion-label rule, the parser's too: a str that is a name (a
+    letter or "_", then letters, digits and "_", by str.isalnum) or "∞"."""
+    return text == "∞" or isinstance(text, str) and (
+        (text[:1].isalpha() or text[:1] == "_") and text.replace("_", "a").isalnum())
+
+
 def _canon_label(label: str) -> str:
-    return "inf" if label in ("∞", "inf") else str(label)
+    if not _is_label(label):
+        raise ValueError("%r is not a torsion label: a name or inf" % (label,))
+    return "inf" if label == "∞" else label
 
 
 class CoherentSheaf(Frozen):
-    """Slope normal form: bundle atoms (slope strictly decreasing) + torsion."""
+    """Slope normal form: bundle atoms (slope strictly decreasing) + torsion.
+    It trusts its arguments: build it through normalize, which checks them."""
 
     def __init__(self, bundle: Tuple[BundleAtom, ...] = (), torsion: Tuple[TorsionAtom, ...] = ()):
         _set(self, "bundle", bundle)
@@ -95,16 +105,12 @@ def normalize(
         s = raw if isinstance(raw, Slope) else reduce(*raw)
         if not s.is_finite:
             raise ValueError("bundle atoms need finite slopes; torsion is separate")
-        if mult < 1:
-            raise ValueError("multiplicity must be >= 1, got %r" % (mult,))
-        by_slope[s] = by_slope.get(s, 0) + mult
+        by_slope[s] = by_slope.get(s, 0) + _check_int(mult, "multiplicity", 1)
     by_label = {}
     for label, factors in torsion:
-        fs = tuple(int(k) for k in factors)
+        fs = [_check_int(k, "torsion factor", 1) for k in factors]
         if not fs:
             raise ValueError("torsion factor list must be non-empty")
-        if any(k < 1 for k in fs):
-            raise ValueError("torsion factors must be positive, got %r" % (factors,))
         by_label.setdefault(_canon_label(label), []).extend(fs)
     b = tuple(sorted(by_slope.items(), key=lambda it: it[0], reverse=True))
     t = tuple(
@@ -336,8 +342,7 @@ def _shifted(F: CoherentSheaf) -> TiltedObject:
 
 def se1(d: int) -> ShortExactSequence:
     """0 -> O -> O(1) + O(d-1) -> O(d) -> 0 for d > 1."""
-    if d <= 1:
-        raise ValueError("se1 needs an integer d > 1")
+    _check_int(d, "the d of se1", 2)
     return ShortExactSequence(
         _plain(O(0)), _plain(direct_sum(O(1), O(d - 1))), _plain(O(d)), "se1"
     ).validate()
@@ -345,8 +350,7 @@ def se1(d: int) -> ShortExactSequence:
 
 def se2(k: int) -> ShortExactSequence:
     """0 -> O -> O(k) -> T(inf,[k]) -> 0 for k > 0."""
-    if k <= 0:
-        raise ValueError("se2 needs an integer k > 0")
+    _check_int(k, "the k of se2", 1)
     return ShortExactSequence(
         _plain(O(0)), _plain(O(k)), _plain(T([k])), "se2"
     ).validate()
@@ -354,8 +358,7 @@ def se2(k: int) -> ShortExactSequence:
 
 def se3(k: int) -> ShortExactSequence:
     """0 -> O -> T(inf,[k]) -> O(-k)[1] -> 0 for k > 0."""
-    if k <= 0:
-        raise ValueError("se3 needs an integer k > 0")
+    _check_int(k, "the k of se3", 1)
     return ShortExactSequence(
         _plain(O(0)), _plain(T([k])), _shifted(O(-k)), "se3"
     ).validate()

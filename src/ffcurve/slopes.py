@@ -12,7 +12,7 @@ from functools import total_ordering
 from math import gcd
 from typing import TYPE_CHECKING, Tuple
 
-from .errors import CertificateError
+from .errors import CertificateError, _check_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -25,8 +25,8 @@ class Slope:
     __slots__ = ("d", "h")
 
     def __init__(self, d: int, h: int = 1):
-        if h < 1:
-            raise ValueError("slope denominator must be a positive integer, got h=%r" % (h,))
+        _check_int(d, "slope numerator")
+        _check_int(h, "slope denominator", 1)
         g = gcd(abs(d), h)
         if g > 1:
             d //= g
@@ -94,7 +94,7 @@ INFINITY = _make_infinite()
 
 
 def reduce(d: int, h: int) -> Slope:
-    """Return the canonical reduced slope d/h. Rejects h < 1."""
+    """Return the canonical reduced slope d/h. Rejects h < 1 and non-ints."""
     return Slope(d, h)
 
 

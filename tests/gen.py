@@ -185,8 +185,9 @@ def random_unimodular(dom, rng: random.Random, n: int):
 
 
 #: readers for the element encodings of mat_to_json: int, Fraction string,
-#: list of Fraction strings
-_READ_ELEMENT = {INTEGERS: int, RATIONALS: Fraction, POLY_OVER_RATIONALS: Poly}
+#: list of Fraction strings (Poly itself takes ints and Fractions only)
+_READ_ELEMENT = {INTEGERS: int, RATIONALS: Fraction,
+                 POLY_OVER_RATIONALS: lambda cs: Poly(map(Fraction, cs))}
 
 
 def mat_from_json(dom, payload: dict) -> Mat:

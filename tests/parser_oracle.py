@@ -8,8 +8,8 @@ the same errors on every input."""
 from __future__ import annotations
 
 from ffcurve import polyring, sheaves
-from ffcurve.errors import ParseError
-from ffcurve.parser import MAX_POLY_BITS, MAX_POLY_DEGREE, _check_budget
+from ffcurve.errors import ParseError, _check_budget
+from ffcurve.parser import MAX_POLY_BITS, MAX_POLY_DEGREE
 
 _SYMBOLS = set("()[]^+;,/-*")
 
@@ -221,7 +221,8 @@ class _Parser:
         while self.peek()[0] == "*":
             self.advance()
             rhs = self.poly_unary()
-            _check_budget("degree", node.degree + rhs.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
+            _check_budget(node.degree + rhs.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE,
+                          "degree %d is")
             node = node * rhs
         return node
 
@@ -240,8 +241,8 @@ class _Parser:
             n = int(self.expect("number", "an exponent")[1])
             bits = max((max(abs(c.numerator), c.denominator).bit_length()
                         for c in base.coeffs), default=0)
-            _check_budget("degree", n * base.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE)
-            _check_budget("coefficient bits", n * bits, "MAX_POLY_BITS", MAX_POLY_BITS)
+            _check_budget(n * base.degree, "MAX_POLY_DEGREE", MAX_POLY_DEGREE, "degree %d is")
+            _check_budget(n * bits, "MAX_POLY_BITS", MAX_POLY_BITS, "coefficient bits %d is")
             return base ** n
         return base
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffcurve import bc, cli, cocycles, complexes, derham, exactalg, sheaves, tilting
+from ffcurve.errors import BudgetError
 from ffcurve.parser import parse_poly, parse_sheaf
 from ffcurve.polyring import Poly
 
@@ -255,6 +256,10 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 1 and out == ""
         assert err.startswith("error:") and budget in err
+        # the refusal is the library's BudgetError, which main maps to exit 1
+        args = cli._build_parser(cli._VERBS).parse_args([*argv, "--json"])
+        with pytest.raises(BudgetError, match=budget):
+            args.func(args)
 
     monkeypatch.setattr(cocycles, "_pullback_rows", no_work)
     monkeypatch.setattr(derham, "_forms", no_work)
@@ -364,6 +369,20 @@ def test_inexact_division_is_a_certificate_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "eta", "t", "t")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_gcd_that_divides_no_element_is_a_certificate_failure(capsys, monkeypatch):
+    # t + 5 divides none of the elements: cohom printed it as torsion, and eta
+    # printed no torsion, each with exit 0, before the gcd was checked
+    real_gcd = exactalg.POLY_OVER_RATIONALS.gcd
+    wrong = parse_poly("t + 5")
+    monkeypatch.setattr(exactalg.POLY_OVER_RATIONALS, "gcd",
+                        lambda a, b: wrong if a and b else real_gcd(a, b))
+    for argv in (["cohom", "t^2", "t^3"], ["eta", "t", "t^2", "t^3"]):
+        for mode in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *mode)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cocycle_certificate_failure_exit_code(capsys, monkeypatch):

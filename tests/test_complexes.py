@@ -343,9 +343,10 @@ def test_decalage_integer_single():
 
 def test_decalage_over_rationals_is_pinned():
     # over a field f is a unit, so eta_f K is K again in the bases of the
-    # Smith forms of its differentials; these two call RATIONALS.gcd on an
-    # invariant factor and f^c, and koszul_cohomology and koszul_decalage call
-    # it on the Koszul elements (and on f)
+    # Smith forms of its differentials; decalage and decalage_map call
+    # RATIONALS.gcd on an invariant factor and f^c. koszul_cohomology and
+    # koszul_decalage, not called here, also call it: on the Koszul elements
+    # (and on f), then divide each element by that gcd
     K = koszul(RATIONALS, (Fraction(2), Fraction(-3, 2), Fraction(5)))
     delta = ShiftProfile.identity(0, K.highest)
     E = decalage(K, Fraction(3), delta)

@@ -10,7 +10,7 @@ import pytest
 
 from ffcurve import derham
 from ffcurve.derham import ga_cohomology, qp_cohomology
-from ffcurve.errors import CertificateError
+from ffcurve.errors import BudgetError, CertificateError
 
 
 def frac_rank(rows, ncols):
@@ -95,8 +95,9 @@ def test_form_budget_refuses_before_any_form(monkeypatch):
     monkeypatch.setattr(derham, "_piece_dim", no_work)
     for n, D in ((4, 11), (10**9, 6), (1, 10**9), (10**9, 10**9), (10**6, 6), (1, 10**6)):
         for table in (qp_cohomology, ga_cohomology):
-            with pytest.raises(ValueError, match="MAX_DERHAM_FORMS"):
+            with pytest.raises(ValueError, match="MAX_DERHAM_FORMS") as refused:
                 table(n, D)
+            assert type(refused.value) is BudgetError
 
 
 def test_qp_rejects_bad_sizes():

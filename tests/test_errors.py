@@ -1,9 +1,10 @@
 """Mathematical checks raise CertificateError, never a bare assert.
 
-Each check gets an input corrupted through monkeypatch; the last three tests
+Each check gets an input corrupted through monkeypatch; the last four tests
 keep `assert` out of the library, since `python -O` strips it, keep
-floating point out of it, since every answer is exact, and keep every raise
-to a type the CLI maps to an exit code or to a library-misuse type.
+floating point out of it, since every answer is exact, keep every raise
+to a type the CLI maps to an exit code or to a library-misuse type, and keep
+the wording of every work-budget refusal in errors.
 
 d o d = 0 is not here: the BoundedComplex constructor checks it and raises
 ValueError (test_complexes.py, test_composition_must_vanish), and cohomology
@@ -75,10 +76,11 @@ def test_library_has_no_float():
 
 
 #: exception types cli.main maps to exit code 2 (ParseError, UsageError) or 1
-CLI_MAPPED = {"ParseError", "UsageError", "ValueError", "CertificateError"}
+CLI_MAPPED = {"ParseError", "UsageError", "ValueError", "CertificateError", "BudgetError"}
 #: library misuse that no CLI input reaches: immutability guards and the
-#: package's __getattr__ (AttributeError), domain conversion and function-space
-#: checks (TypeError), Poly division by zero (ZeroDivisionError)
+#: package's __getattr__ (AttributeError), integer admission, domain conversion
+#: and function-space checks (TypeError), Poly division by zero
+#: (ZeroDivisionError)
 LIBRARY_MISUSE = {"AttributeError", "TypeError", "ZeroDivisionError"}
 
 
@@ -96,5 +98,17 @@ def test_library_raises_only_mapped_or_misuse_types():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Raise) and node.exc is not None
         and _raised_name(node) not in CLI_MAPPED | LIBRARY_MISUSE
+    ]
+    assert found == []
+
+
+def test_only_errors_writes_the_budget_message():
+    # every refusal over a work budget is worded by errors._check_budget
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "over the budget" in node.value
     ]
     assert found == []

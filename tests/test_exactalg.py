@@ -163,7 +163,7 @@ def test_poly_results_are_canonical(a, b, c, n):
     p, q = Poly(a), Poly(b)
     results = [p, q, Poly.const(c), Poly.const(0), p + q, p - q, q - p, p - p, -p,
                p * q, p * c, c * p, p + c, c - p, p ** n, p.monic(), poly_gcd(p, q),
-               Poly(p.to_json())]
+               Poly(map(Fraction, p.to_json()))]
     if q:
         results += list(divmod(p, q)) + [p % q, p // q]
     for x in results:
@@ -176,7 +176,7 @@ def test_poly_eq_and_hash_agree_across_constructions(a, b, c):
     p, q = Poly(a), Poly(b)
     routes = [
         Poly(p.coeffs),
-        Poly(p.to_json()),
+        Poly(map(Fraction, p.to_json())),
         sum((Poly.const(x) * t ** e for e, x in enumerate(p.coeffs)), Poly()),
         (p + q) - q,
         p * c * (1 / c),
@@ -276,7 +276,7 @@ def test_poly_str_forms():
 
 def test_poly_json_round_trip():
     p = Fraction(1, 3) * t**2 - 2
-    assert Poly(p.to_json()) == p
+    assert Poly(map(Fraction, p.to_json())) == p
 
 
 # ----------------------------------------------------------------- matrix ops

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffcurve import parser
+from ffcurve.errors import BudgetError
 from ffcurve.parser import ParseError, parse_object, parse_poly, parse_sheaf
 from ffcurve.polyring import Poly, T_VAR
 from ffcurve.sheaves import CoherentSheaf, O, T, TiltedObject, direct_sum, normalize
@@ -154,8 +155,9 @@ def test_poly_budgets():
         ("((2^64)^64)^64", "MAX_POLY_BITS"),
         ("(12345678901*t + 1)^%d" % top, "MAX_POLY_BITS"),
     ):
-        with pytest.raises(ValueError, match=budget):
+        with pytest.raises(ValueError, match=budget) as refused:
             parse_poly(text)
+        assert type(refused.value) is BudgetError
     assert parse_poly("(t - 1/2)^7") == (t - Fraction(1, 2)) * (t - Fraction(1, 2)) ** 6
 
 
