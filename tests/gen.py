@@ -351,7 +351,7 @@ def record_samples():
     from ffcurve.complexes import ShiftProfile, identity_chain_map, koszul
     from ffcurve.derham import qp_cohomology
     from ffcurve.exactalg import smith_elimination, smith_normal_form
-    from ffcurve.sheaves import ShortExactSequence, TiltedObject, se2
+    from ffcurve.sheaves import TiltedObject, se2
     from ffcurve.tilting import hom_tilted
 
     A = Mat(2, 2, ((2, 4), (6, 8)))
@@ -369,9 +369,8 @@ def record_samples():
         (se2(2), ("left", "middle", "right", "tag")),
         (r0tau(F), ("atoms",)),
         (
-            PresentationCertificate(zero, 0, CoherentSheaf(), (),
-                                    ShortExactSequence(zero, zero, zero, "presentation")),
-            ("target", "a", "middle", "steps", "final", "levels"),
+            PresentationCertificate(zero, 0, CoherentSheaf(), ()),
+            ("target", "a", "middle", "steps"),
         ),
         (hom_tilted(TiltedObject(O(-1), O(0)), TiltedObject(O(-2), O(1, 2))), ("entries",)),
         (qp_cohomology(1, 2), ("n", "D", "table", "boundary")),

@@ -1,0 +1,155 @@
+"""Hand mutants of the library, each re-run against the tests that must kill it.
+
+    python tests/mutants.py [--only NAME]
+
+copies src/, tests/ and pyproject.toml into a temporary directory, checks that
+every named test passes there unmutated, then applies one row at a time and
+runs its tests. A mutant is killed when its tests fail. Exits 1 if any
+mutant survives, or if the unmutated tree fails. Uses only the standard
+library and pytest.
+
+A row is (name, file, old text, new text, node ids). The old text must occur
+exactly once in its file; tests/test_mutants.py checks that on every tier-1
+run, so a row cannot go stale unnoticed. A change that rewrites guarded code
+updates the row's text, and a new mutant is a new row.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # ---- Hom and Ext^1 from one closed form per bundle atom pair
+    ("pairing_hom_needs_positive_D", "src/ffcurve/sheaves.py",
+     "if (D < 0) == ext:", "if (D <= 0) == ext:",
+     ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
+    ("pairing_D_swapped", "src/ffcurve/sheaves.py",
+     "D = mu.d * lam.h - lam.d * mu.h", "D = lam.d * mu.h - mu.d * lam.h",
+     ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
+    ("pairing_height_without_multiplicity", "src/ffcurve/sheaves.py",
+     "ht += n * lam.h * mu.h", "ht += lam.h * mu.h",
+     ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
+    ("pairing_ext1_height_sign", "src/ffcurve/sheaves.py",
+     "return BCInvariant(-dim, -ht) if ext", "return BCInvariant(-dim, ht) if ext",
+     ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
+    ("hn_minus_torsion_first", "src/ffcurve/tilting.py",
+     "    for s, m in A.neg.bundle:\n"
+     "        mu = Fraction(s.h, -s.d)\n"
+     "        pieces.append((mu, TiltedObject(CoherentSheaf(((s, m),), ()), zero)))\n"
+     "    if A.pos.torsion:\n"
+     "        pieces.append((Fraction(0), TiltedObject(zero, CoherentSheaf((), A.pos.torsion))))\n",
+     "    if A.pos.torsion:\n"
+     "        pieces.append((Fraction(0), TiltedObject(zero, CoherentSheaf((), A.pos.torsion))))\n"
+     "    for s, m in A.neg.bundle:\n"
+     "        mu = Fraction(s.h, -s.d)\n"
+     "        pieces.append((mu, TiltedObject(CoherentSheaf(((s, m),), ()), zero)))\n",
+     ["tests/test_cli.py::test_hnminus",
+      "tests/test_tilting.py::test_hn_minus_strictly_decreasing_and_reassembles"]),
+    # ---- one home per admission rule
+    ("slope_numerator_unchecked", "src/ffcurve/slopes.py",
+     '        _check_int(d, "slope numerator")\n', "",
+     ["tests/test_admission.py::test_refused"]),
+    ("label_without_isalnum", "src/ffcurve/sheaves.py",
+     '(text[:1].isalpha() or text[:1] == "_") and text.replace("_", "a").isalnum())',
+     '(text[:1].isalpha() or text[:1] == "_"))',
+     ["tests/test_admission.py::test_refused"]),
+    ("check_int_admits_bool", "src/ffcurve/errors.py",
+     "if type(x) is not int and (type(x) is bool or not isinstance(x, (int, *also))):",
+     "if type(x) is not int and not isinstance(x, (int, *also)):",
+     ["tests/test_admission.py::test_the_rules"]),
+    ("poly_takes_any_fraction", "src/ffcurve/polyring.py",
+     'cs = [Fraction(_check_int(c, "a Q[t] coefficient", also=(Fraction,))) for c in coeffs]',
+     "cs = [Fraction(c) for c in coeffs]",
+     ["tests/test_admission.py::test_refused"]),
+    ("budget_error_is_a_plain_value_error", "src/ffcurve/errors.py",
+     'raise BudgetError("%s over the budget', 'raise ValueError("%s over the budget',
+     ["tests/test_cli.py::test_over_budget_calls_exit_1_at_once"]),
+    ("multiplicity_unchecked", "src/ffcurve/sheaves.py",
+     'by_slope.get(s, 0) + _check_int(mult, "multiplicity", 1)', "by_slope.get(s, 0) + mult",
+     ["tests/test_sheaves.py::test_normalize_rejects_bad_input"]),
+    ("label_without_str_test", "src/ffcurve/sheaves.py",
+     'return text == "∞" or isinstance(text, str) and (', 'return text == "∞" or (',
+     ["tests/test_admission.py::test_refused"]),
+    ("gcd_division_unchecked", "src/ffcurve/complexes.py",
+     "        if not dom.divides(g, x):\n", "        if False:\n",
+     ["tests/test_cli.py::test_a_gcd_that_divides_no_element_is_a_certificate_failure"]),
+    ("coerced_lets_type_error_through", "src/ffcurve/polyring.py",
+     "        except TypeError:  # not an exact number",
+     "        except ArithmeticError:  # not an exact number",
+     ["tests/test_admission.py::test_equality_with_a_refused_number_is_false_not_an_error"]),
+    # ---- bc says each fact once
+    ("atom_coker_sign", "src/ffcurve/bc.py",
+     '("Coker", -1)', '("Coker", 1)',
+     ["tests/test_bc.py::test_r0tau_shifted_negative"]),
+    ("levels_keep_slopes_in_0_1", "src/ffcurve/bc.py",
+     "covered = [s for s, _ in self.target.pos.bundle if s.d > s.h]",
+     "covered = [s for s, _ in self.target.pos.bundle]",
+     ["tests/test_bc.py::test_presentation_small_slopes_left_alone"]),
+    ("levels_drop_shifted_atoms", "src/ffcurve/bc.py",
+     "        covered += [s for s, _ in self.target.neg.bundle]\n", "",
+     ["tests/test_bc.py::test_presentation_fractional_levels"]),
+    ("kernel_without_a", "src/ffcurve/bc.py",
+     "return _plain(O(0, mult=a)) if a", "return _plain(O(0)) if a",
+     ["tests/test_bc.py::test_presentation_torsion_uses_se2"]),
+    ("shifted_steps_d_plus_1", "src/ffcurve/bc.py",
+     "sum(2 - s.d for s, _ in A.neg.bundle)", "sum(1 - s.d for s, _ in A.neg.bundle)",
+     ["tests/test_bc.py::test_presentation_step_count_is_its_closed_form"]),
+    ("budget_refuses_its_bound", "src/ffcurve/errors.py",
+     "if value > cap:", "if value >= cap:",
+     ["tests/test_bc.py::test_present_budget_admits_its_bound_and_refuses_one_more"]),
+]
+
+
+def _pytest(tree: Path, nodes) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--only", metavar="NAME", help="run only the mutant of this name")
+    args = ap.parse_args(argv)
+    rows = [r for r in MUTANTS if args.only in (None, r[0])]
+    if not rows:
+        ap.error("no mutant named %r" % args.only)
+    with tempfile.TemporaryDirectory(prefix="ffcurve-mutants-") as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        nodes = sorted({n for row in rows for n in row[4]})
+        if _pytest(tree, nodes) != 0:
+            print("the unmutated tree fails its mutants' tests")
+            return 1
+        survivors = []
+        for name, rel, old, new, row_nodes in rows:
+            path = tree / rel
+            text = path.read_text()
+            if text.count(old) != 1:
+                print("%-40s STALE (old text found %d times)" % (name, text.count(old)))
+                survivors.append(name)
+                continue
+            path.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            code = _pytest(tree, row_nodes)
+            path.write_text(text)
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else "ERROR %d" % code
+            print("%-40s %-9s %5.1f s" % (name, verdict, time.perf_counter() - start))
+            if code != 1:
+                survivors.append(name)
+    print("%d of %d mutants killed" % (len(rows) - len(survivors), len(rows)))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffcurve import bc
 from ffcurve.bc import (
     BCDescriptor,
     PresentationCertificate,
@@ -30,9 +31,10 @@ from ffcurve.sheaves import (
     se2,
     se3,
 )
-from ffcurve.tilting import tilt
+from ffcurve.errors import BudgetError
+from ffcurve.tilting import _as_heart, tilt
 
-from gen import random_tilted
+from gen import random_sheaf, random_tilted
 
 ZERO = CoherentSheaf.zero()
 
@@ -196,7 +198,7 @@ def test_presentation_certificate_str_is_its_final_sequence():
 
 def test_presentation_small_slopes_left_alone():
     cert = effective_presentation(tilt(O(1, 2)))
-    assert cert.a == 0 and cert.middle == O(1, 2)
+    assert cert.a == 0 and cert.middle == O(1, 2) and cert.levels == ()
     cert = effective_presentation(tilt(O(0, mult=3)))
     assert cert.a == 0 and cert.middle == O(0, mult=3)
 
@@ -209,6 +211,31 @@ def test_presentation_randomized():
         _check_certificate(cert, A)
         for step in cert.steps:
             step.validate()
+
+
+def test_presentation_step_count_is_its_closed_form():
+    # d per positive atom d/h with d > h, k + 1 per torsion factor k, and
+    # d + 2 per shifted atom of slope -d/h, whatever the multiplicities
+    rng = random.Random(47)
+    for i in range(300):
+        x = random_tilted(rng, dmax=9, hmax=6) if i % 2 else random_sheaf(rng, dmax=9, hmax=6)
+        A = _as_heart(x)
+        want = (sum(s.d for s, _ in A.pos.bundle if s.d > s.h)
+                + sum(k + 1 for _, fs in A.pos.torsion for k in fs)
+                + sum(-s.d + 2 for s, _ in A.neg.bundle))
+        assert len(effective_presentation(x).steps) == want == bc._present_steps(A)
+
+
+def test_present_budget_admits_its_bound_and_refuses_one_more(monkeypatch):
+    # 5 for O(5/2), 4 for T(inf,[3]), 3 + 2 for T(x,[2,1]), 3 for O(-1)[1], 5 for O(-3/2)^2[1]
+    A = TiltedObject(direct_sum(O(-3, 2, mult=2), O(-1)),
+                     direct_sum(O(5, 2), O(0, mult=2), T([2, 1], "x"), T([3])))
+    monkeypatch.setattr(bc, "MAX_PRESENT_STEPS", 22)
+    assert len(effective_presentation(A).steps) == 22
+    monkeypatch.setattr(bc, "MAX_PRESENT_STEPS", 21)
+    with pytest.raises(BudgetError, match="^22 presentation steps are over the budget "
+                                          "MAX_PRESENT_STEPS = 21$"):
+        effective_presentation(A)
 
 
 # ----------------------------------------------------------------- refusals
@@ -228,10 +255,12 @@ def test_short_exact_sequence_refuses_non_additive_classes():
         _NON_ADDITIVE.validate()
 
 
+# final is derived from target, a and middle, so a corrupted one of them breaks
+# its K0 additivity
 @pytest.mark.parametrize("fields,message", [
-    ({"target": tilt(O(4))}, "does not end at its target"),
-    ({"a": 3}, "kernel is not O\\^3"),
-    ({"middle": O(0, mult=3)}, "middle term mismatch"),
+    ({"target": tilt(O(4))}, "additivity fails for presentation"),
+    ({"a": 3}, "additivity fails for presentation"),
+    ({"middle": O(0, mult=3)}, "additivity fails for presentation"),
     ({"steps": (_NON_ADDITIVE,)}, "additivity fails for se1"),
 ], ids=["target", "kernel", "middle", "step"])
 def test_presentation_refuses_a_corrupted_field(fields, message):
@@ -243,15 +272,13 @@ def test_presentation_refuses_a_corrupted_field(fields, message):
 
 
 def test_presentation_refuses_a_torsion_middle():
-    # additive: (0, 1) = (1, 0) + (-1, 1), and the final middle is the middle
+    # the derived final is additive: (0, 1) = (1, 0) + (-1, 1)
     middle, target = direct_sum(O(0), T([1])), _plain(T([1]))
-    final = ShortExactSequence(_plain(O(0)), _plain(middle), target, "presentation")
     with pytest.raises(ValueError, match="torsion free"):
-        PresentationCertificate(target, 1, middle, (), final).validate()
+        PresentationCertificate(target, 1, middle, ()).validate()
 
 
 def test_presentation_refuses_a_middle_slope_above_one():
     target = _plain(O(2))
-    final = ShortExactSequence(_plain(ZERO), target, target, "presentation")
     with pytest.raises(ValueError, match="middle slope 2 outside"):
-        PresentationCertificate(target, 0, O(2), (), final).validate()
+        PresentationCertificate(target, 0, O(2), ()).validate()

@@ -265,6 +265,7 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
     monkeypatch.setattr(derham, "_forms", no_work)
     monkeypatch.setattr(complexes, "combinations", no_work)
     monkeypatch.setattr(complexes, "reduce", no_work)
+    monkeypatch.setattr(bc, "se1", no_work)
     # four admitted elements of degree 16: parsing them raises powers, and
     # the Koszul functions refuse them before any gcd or basis
     four = ["(4294967295*t + 7)^8*(1/3*t - 7)^8", "(65535*t - 3)^8*(t + 7/5)^8",
@@ -279,6 +280,9 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
         (["cocycle", "--report", "--trunc", "13"], "MAX_COLUMN_DEGREE"),
         (["derham", "4", "--trunc", "11"], "MAX_DERHAM_FORMS"),
         (["derham", "1000000000"], "MAX_DERHAM_FORMS"),
+        (["present", "O(1000000000)"], "MAX_PRESENT_STEPS"),
+        (["present", "T(x,[3000000000])"], "MAX_PRESENT_STEPS"),
+        (["present", "O(-1000000000)[1]"], "MAX_PRESENT_STEPS"),
     ):
         assert_refused(argv, budget)
 
@@ -291,7 +295,11 @@ def test_over_budget_calls_exit_1_at_once(capsys, monkeypatch):
 # built on integers and before qp_cohomology memoised d within a call;
 # derham_3_9, the largest qp table of the benchmark, before forms and keys
 # were coded as ints.
+# The bc, present, info and breen files were written before each descriptor
+# atom and the presentation's final sequence got one home in bc; _HEART has
+# every atom kind, both torsion labels and cover levels for 5/2 and -3/2.
 _GOLDEN = Path(__file__).resolve().parent / "golden"
+_HEART = "tilted(O(-3/2)^2 + O(-1); O(5/2) + O^2 + T(x,[2,1]) + T(inf,[3]))"
 _GOLDEN_ARGV = {
     "eta_t": ["eta", "t", "t", "t + 1"],
     "eta_t-3": ["eta", "t - 3", "t^2 - 1", "t^2 + 2*t + 1"],
@@ -302,6 +310,13 @@ _GOLDEN_ARGV = {
     "cocycle_report": ["cocycle", "--report", "--trunc", "12"],
     "derham_4": ["derham", "4", "--trunc", "5"],
     "derham_3_9": ["derham", "3", "--trunc", "9"],
+    "bc_heart": ["bc", _HEART],
+    "present_heart": ["present", _HEART],
+    "bc_0": ["bc", "0"],
+    "present_O7": ["present", "O(7)"],
+    "info_heart": ["info", _HEART],
+    "info_sheaf": ["info", "O(5/2) + O(-1)^2 + T(x,[2])"],
+    "breen": ["breen"],
 }
 
 

@@ -58,13 +58,7 @@ REPRS = {
     "PresentationCertificate": (
         "PresentationCertificate(target=TiltedObject(neg=CoherentSheaf(bundle=(), "
         "torsion=()), pos=CoherentSheaf(bundle=(), torsion=())), a=0, "
-        "middle=CoherentSheaf(bundle=(), torsion=()), steps=(), "
-        "final=ShortExactSequence(left=TiltedObject(neg=CoherentSheaf(bundle=(), "
-        "torsion=()), pos=CoherentSheaf(bundle=(), torsion=())), "
-        "middle=TiltedObject(neg=CoherentSheaf(bundle=(), torsion=()), "
-        "pos=CoherentSheaf(bundle=(), torsion=())), "
-        "right=TiltedObject(neg=CoherentSheaf(bundle=(), torsion=()), "
-        "pos=CoherentSheaf(bundle=(), torsion=())), tag='presentation'), levels=())"
+        "middle=CoherentSheaf(bundle=(), torsion=()), steps=())"
     ),
     "HomMatrix": (
         "HomMatrix(entries=((BCInvariant(dim=0, ht=0), BCInvariant(dim=2, ht=-1)), "
@@ -121,8 +115,10 @@ def test_equality_stays_within_one_class_and_defaults_hold():
     assert zero != () and zero != ((), ())
     assert zero == CoherentSheaf((), ()) == CoherentSheaf(torsion=()) == CoherentSheaf.zero()
     assert ShortExactSequence(tilted_zero, tilted_zero, tilted_zero).tag == "composite"
-    seq = ShortExactSequence(left=tilted_zero, middle=tilted_zero, right=tilted_zero, tag="x")
-    P = PresentationCertificate(tilted_zero, 0, zero, (), seq)
-    assert P.levels == () and P == PresentationCertificate(
-        target=tilted_zero, a=0, middle=zero, steps=(), final=seq, levels=()
+    seq = ShortExactSequence(left=tilted_zero, middle=tilted_zero, right=tilted_zero,
+                             tag="presentation")
+    # final and levels are derived, not stored
+    P = PresentationCertificate(tilted_zero, 0, zero, ())
+    assert P.final == seq and P.levels == () and P == PresentationCertificate(
+        target=tilted_zero, a=0, middle=zero, steps=()
     )
