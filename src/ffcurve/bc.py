@@ -5,7 +5,9 @@ give universal-cover atoms U(d/h), slope 0 gives copies of Qp, torsion
 gives Ga jets, and shifted negative slopes give cokernel atoms. One
 function per atom gives its text, its JSON entry and its additive
 (dimension, height), which matches (degree, rank) in the heart. A
-presentation stores its target, kernel rank, middle and splice steps.
+presentation stores its target, kernel rank, middle and splice steps; one
+walk lists the atoms it resolves with their closed forms, and its budget,
+steps, kernel rank, middle, levels and composition check all read it.
 """
 
 from __future__ import annotations
@@ -124,12 +126,50 @@ def _kernel(a: int) -> TiltedObject:
     return _plain(O(0, mult=a)) if a else _plain(_ZERO)
 
 
+def _rung(s: Slope, m: int, label: str = None) -> tuple:
+    """(pre-steps, d, kernel rank, middle, right term, s) of one resolved atom.
+
+    The atom is O(s)^m, shifted if s < 0, or with a label the torsion factor
+    T(label,[d]), read as s = d/1 and m = 1. Integer twists unroll through the
+    twist ladder se1(2..d); torsion splices se2(d) onto it, and shifted atoms
+    se3(d) then se2(d), pre-steps held as (function, argument) pairs. Slopes
+    ±d/h run the ladder on the degree-h cover and push down. Each splice has
+    kernel O, so the kernel rank is m·h per splice and the middle O(1/h)^(m·d).
+    """
+    d, h = abs(s.d), s.h
+    if label is not None:
+        pre, right = ((se2, d),), _plain(CoherentSheaf((), ((label, (d,)),)))
+    elif s.d < 0:
+        pre, right = ((se3, d), (se2, d)), TiltedObject(CoherentSheaf(((s, m),), ()), _ZERO)
+    else:
+        pre, right = (), _plain(CoherentSheaf(((s, m),), ()))
+    return pre, d, m * h * (len(pre) + d - 1), O(1, h, mult=m * d), right, s
+
+
+def _walk(A: TiltedObject) -> Tuple[List[tuple], List[CoherentSheaf]]:
+    """The atoms A's presentation resolves, as _rung tuples in step order
+    (positive slopes above 1, torsion factors, shifted atoms), and the
+    slope-[0, 1] atoms that pass straight to the middle."""
+    resolved, flat = [], []
+    for s, m in A.pos.bundle:
+        if s.d <= s.h:
+            flat.append(CoherentSheaf(((s, m),), ()))
+        else:
+            resolved.append(_rung(s, m))
+    resolved += [_rung(Slope(k, 1), 1, label) for label, fs in A.pos.torsion for k in fs]
+    resolved += [_rung(s, m) for s, m in A.neg.bundle]
+    return resolved, flat
+
+
 class PresentationCertificate(Frozen):
     """Two-term resolution 0 -> O^a -> middle -> target -> 0.
 
-    Stores the target, a, the middle and the splice ladder steps; final and
-    levels are derived from them. The kernel is slope-0 of rank a and every
-    middle slope lies in [0, 1].
+    Stores the target, a, the middle and the splice steps; final and levels
+    are derived. validate checks each step, final's K0 additivity and a
+    torsion-free middle of slopes in [0, 1], then that the composite steps
+    compose to final: their right terms are the target's resolved atoms in
+    order, their kernel ranks sum to a, and their middles with the target's
+    slope-[0, 1] atoms sum to the middle.
     """
 
     def __init__(self, target: TiltedObject, a: int, middle: CoherentSheaf,
@@ -147,11 +187,8 @@ class PresentationCertificate(Frozen):
 
     @property
     def levels(self) -> Tuple[Tuple[str, int], ...]:
-        """(slope, h) of each atom with h > 1 resolved on the degree-h cover:
-        positive slopes above 1, then shifted negatives."""
-        covered = [s for s, _ in self.target.pos.bundle if s.d > s.h]
-        covered += [s for s, _ in self.target.neg.bundle]
-        return tuple((str(s), s.h) for s in covered if s.h > 1)
+        """(slope, h) of each resolved atom run on a degree-h cover, h > 1."""
+        return tuple((str(s), s.h) for *_, s in _walk(self.target)[0] if s.h > 1)
 
     def validate(self) -> "PresentationCertificate":
         for step in self.steps:
@@ -162,79 +199,33 @@ class PresentationCertificate(Frozen):
         for s, _ in self.middle.bundle:
             if s.d < 0 or s.d > s.h:
                 raise ValueError("middle slope %s outside [0, 1]" % s)
+        resolved, flat = _walk(self.target)
+        composites = [st for st in self.steps if st.tag.startswith("composite")]
+        if ([st.right for st in composites] != [r[4] for r in resolved]
+                or sum(st.left.rank for st in composites) != self.a
+                or direct_sum(*(st.middle.pos for st in composites), *flat) != self.middle):
+            raise ValueError("the composite steps do not compose to the presentation")
         return self
 
     def __str__(self) -> str:
         return str(self.final)
 
 
-def _present_steps(A: TiltedObject) -> int:
-    """Splice steps of A's presentation: d per positive atom d/h with d > h,
-    k + 1 per torsion factor k, d + 2 per shifted atom of slope -d/h."""
-    return (sum(s.d for s, _ in A.pos.bundle if s.d > s.h)
-            + sum(k + 1 for _, fs in A.pos.torsion for k in fs)
-            + sum(2 - s.d for s, _ in A.neg.bundle))
-
-
 def effective_presentation(x) -> PresentationCertificate:
-    """Resolve a heart object by slope-[0,1] bundles with slope-0 kernel.
-
-    Integer twists unroll through the elementary twist ladder; torsion
-    splices the evaluation sequence onto that ladder; shifted negatives
-    splice through torsion. Slopes d/h with h > 1 run the same ladder on
-    the degree-h cover and push down, which multiplies the kernel rank
-    by h. An object whose presentation takes over MAX_PRESENT_STEPS steps
-    raises BudgetError before any of them.
-    """
+    """Resolve a heart object by slope-[0,1] bundles with slope-0 kernel: the
+    steps of each _walk atom, then its composite; kernel ranks and middles add
+    up. Over MAX_PRESENT_STEPS steps raises BudgetError before any of them."""
     A = _as_heart(x)
-    _check_budget(_present_steps(A), "MAX_PRESENT_STEPS", MAX_PRESENT_STEPS,
-                  "%d presentation steps are")
-    a_total = 0
-    mid_parts: List[CoherentSheaf] = []
+    resolved, flat = _walk(A)
+    _check_budget(sum(len(pre) + d for pre, d, *_ in resolved), "MAX_PRESENT_STEPS",
+                  MAX_PRESENT_STEPS, "%d presentation steps are")
     steps: List[ShortExactSequence] = []
-
-    def ladder(d: int) -> None:
-        # splice certificates for O(d) <- O(1)+O(d-1) <- ... , d >= 2
-        for j in range(2, d + 1):
-            steps.append(se1(j))
-
-    def composite(a: int, mid: CoherentSheaf, right: TiltedObject, h: int) -> None:
-        nonlocal a_total
-        steps.append(
-            ShortExactSequence(
-                _kernel(a),
-                _plain(mid),
-                right,
-                "composite" if h == 1 else "composite@level%d" % h,
-            ).validate()
-        )
-        a_total += a
-        mid_parts.append(mid)
-
-    for s, m in A.pos.bundle:
-        if s.d <= s.h:
-            # slope already in [0, 1]: building block, nothing to resolve
-            mid_parts.append(CoherentSheaf(((s, m),), ()))
-            continue
-        d, h = s.d, s.h
-        ladder(d)
-        composite(m * h * (d - 1), O(1, h, mult=m * d), _plain(O(d, h, mult=m)), h)
-    for label, fs in A.pos.torsion:
-        for k in fs:
-            steps.append(se2(k))
-            ladder(k)
-            composite(k, O(1, mult=k), _plain(T([k], label)), 1)
-    for s, m in A.neg.bundle:
-        d, h = -s.d, s.h
-        steps.append(se3(d))
-        steps.append(se2(d))
-        ladder(d)
-        composite(
-            m * h * (d + 1),
-            O(1, h, mult=m * d),
-            TiltedObject(O(-d, h, mult=m), _ZERO),
-            h,
-        )
-
-    middle = direct_sum(*mid_parts) if mid_parts else _ZERO
-    return PresentationCertificate(A, a_total, middle, tuple(steps)).validate()
+    for pre, d, a, mid, right, s in resolved:
+        steps += [f(n) for f, n in pre]
+        # the twist ladder O(d) <- O(1) + O(d-1) <- ... , one splice per j
+        steps += [se1(j) for j in range(2, d + 1)]
+        tag = "composite" if s.h == 1 else "composite@level%d" % s.h
+        steps.append(ShortExactSequence(_kernel(a), _plain(mid), right, tag).validate())
+    middle = direct_sum(*(r[3] for r in resolved), *flat)
+    return PresentationCertificate(A, sum(r[2] for r in resolved), middle,
+                                   tuple(steps)).validate()

@@ -436,11 +436,8 @@ def cmd_cocycle(args) -> None:
         raise UsageError("--trunc applies only with --report")
     from . import cocycles
     if args.report:
-        bound = args.trunc
-        report = cocycles.hom_column_checks(
-            degree_poly=bound if bound is not None else 6,
-            degree_mahler=bound if bound is not None else 4,
-        )
+        bounds = () if args.trunc is None else (args.trunc, args.trunc)
+        report = cocycles.hom_column_checks(*bounds)
         poly, consts, mahler = (
             report["poly_kernel"], report["constants"], report["mahler_middle"]
         )

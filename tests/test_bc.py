@@ -201,6 +201,8 @@ def test_presentation_small_slopes_left_alone():
     assert cert.a == 0 and cert.middle == O(1, 2) and cert.levels == ()
     cert = effective_presentation(tilt(O(0, mult=3)))
     assert cert.a == 0 and cert.middle == O(0, mult=3)
+    cert = effective_presentation(tilt(O(1, mult=2)))
+    assert cert.steps == () and cert.a == 0 and cert.middle == O(1, mult=2)
 
 
 def test_presentation_randomized():
@@ -223,7 +225,7 @@ def test_presentation_step_count_is_its_closed_form():
         want = (sum(s.d for s, _ in A.pos.bundle if s.d > s.h)
                 + sum(k + 1 for _, fs in A.pos.torsion for k in fs)
                 + sum(-s.d + 2 for s, _ in A.neg.bundle))
-        assert len(effective_presentation(x).steps) == want == bc._present_steps(A)
+        assert len(effective_presentation(x).steps) == want
 
 
 def test_present_budget_admits_its_bound_and_refuses_one_more(monkeypatch):
@@ -282,3 +284,30 @@ def test_presentation_refuses_a_middle_slope_above_one():
     target = _plain(O(2))
     with pytest.raises(ValueError, match="middle slope 2 outside"):
         PresentationCertificate(target, 0, O(2), ()).validate()
+
+
+# the steps must compose to the final sequence, not only be additive one by one
+
+
+def test_presentation_refuses_steps_that_do_not_resolve_its_target():
+    # O(2) + T(inf,[1]) has the K0 class of O(3), so final stays additive
+    target, middle = tilt(direct_sum(O(2), T([1]))), O(1, mult=3)
+    assert target.k0_class() == tilt(O(3)).k0_class()
+    for steps in (effective_presentation(tilt(O(3))).steps, ()):
+        with pytest.raises(ValueError, match="composite steps do not compose"):
+            PresentationCertificate(target, 2, middle, steps).validate()
+
+
+def test_presentation_refuses_a_target_swapped_within_its_k0_class():
+    rng = random.Random(53)
+    for i in range(300):
+        x = _as_heart(random_tilted(rng, dmax=9, hmax=6) if i % 2
+                      else random_sheaf(rng, dmax=9, hmax=6))
+        cert = effective_presentation(x)
+        assert cert.validate() == cert
+        cert = effective_presentation(TiltedObject(x.neg, direct_sum(x.pos, O(1))))
+        # O + T(inf,[1]) has the class of O(1) but one more resolved atom
+        swapped = TiltedObject(x.neg, direct_sum(x.pos, O(0), T([1])))
+        assert swapped.k0_class() == cert.target.k0_class()
+        with pytest.raises(ValueError, match="composite steps do not compose"):
+            _with(cert, target=swapped).validate()

@@ -234,6 +234,14 @@ def test_cocycle_report(capsys):
     assert payload["poly_kernel"]["degree_bound"] == 4
 
 
+def test_cocycle_report_defaults_are_the_library_defaults(capsys):
+    payload = run_json(capsys, "cocycle", "--report", "--json")
+    report = json.loads(json.dumps(cocycles.hom_column_checks()))
+    assert payload == {"schema": cli.SCHEMA, "command": "cocycle", **report}
+    assert payload["poly_kernel"]["degree_bound"] == 6
+    assert payload["mahler_middle"]["degree_bound"] == 4
+
+
 def test_cocycle_argument_errors(capsys):
     code, _, err = run(capsys, "cocycle")
     assert code == 2

@@ -2,8 +2,9 @@
 names tests that exist. `python tests/mutants.py` runs the rows."""
 
 import re
-from pathlib import Path
+import subprocess
 
+import mutants
 from mutants import MUTANTS, ROOT
 
 
@@ -16,3 +17,21 @@ def test_every_mutant_row_applies_once_and_names_existing_tests():
         for node in nodes:
             path, func = re.fullmatch(r"(tests/test_\w+\.py)::(\w+)(\[.*\])?", node).group(1, 2)
             assert re.search(r"^def %s\(" % func, (ROOT / path).read_text(), re.M), node
+
+
+def test_a_run_over_its_timeout_is_reported_and_counts_as_surviving(monkeypatch, capsys):
+    calls = []
+
+    def run(cmd, **kw):
+        # the unmutated tree passes; the mutant's run hits the timeout
+        calls.append(kw["timeout"])
+        if len(calls) == 1:
+            return subprocess.CompletedProcess(cmd, 0)
+        raise subprocess.TimeoutExpired(cmd, kw["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    assert mutants.main(["--only", MUTANTS[0][0]]) == 1
+    out = capsys.readouterr().out
+    assert calls == [mutants.TIMEOUT_S] * 2
+    assert "%s TIMEOUT" % MUTANTS[0][0] in " ".join(out.split())
+    assert "0 of 1 mutants killed" in out
