@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Each verb wraps one library operation.  Results print as short text
-tables by default; ``--json`` switches every verb to a versioned JSON
-envelope (``schema`` field), and ``hn --svg out.svg`` additionally
-writes the HN polygon as a standalone SVG file.
+Each verb wraps one library operation and returns ``(lines, payload)``: its
+result as short text lines and as a JSON payload. Verbs print nothing; ``main``
+prints the lines by default, or with ``--json`` the payload inside a versioned
+envelope (``schema``, and the verb as ``command``). ``hn --svg out.svg``
+additionally writes the HN polygon as a standalone SVG file.
 
 The module itself loads no library module but ``errors``: each verb imports
 the modules it runs, and no verb loads ``dataclasses`` or ``inspect``. With no
@@ -24,7 +25,6 @@ a certificate that fails to verify, or an output file that cannot be written.
 
 import argparse
 import sys
-from functools import partial
 
 from .errors import CertificateError, ParseError
 
@@ -38,32 +38,38 @@ class UsageError(Exception):
 # --------------------------------------------------------------- small format
 
 
-def _emit(args, command: str, lines, payload: dict) -> None:
-    if args.json:
-        import json
-        envelope = {"schema": SCHEMA, "command": command}
-        envelope.update(payload)
-        print(json.dumps(envelope, indent=2, sort_keys=False))
-    else:
-        print("\n".join(lines))
-
-
 def _mu_str(mu) -> str:
-    # a Fraction, or MU_MINUS_INFINITY, which prints as -inf
+    # a Slope, a Fraction, or MU_MINUS_INFINITY, which prints as -inf
     return str(mu)
 
 
-def _require(x, verb: str, tilted: bool = False):
-    """x, if it is a tilted object exactly when the verb asks for one."""
+def _object(args, text: str, tilted=None):
+    """The object text names; with tilted given, refused unless it is a tilted
+    object exactly when tilted is true."""
+    from .parser import parse_object
     from .sheaves import TiltedObject
-    if isinstance(x, TiltedObject) != tilted:
+    x = parse_object(text)
+    if tilted is not None and isinstance(x, TiltedObject) != tilted:
         kinds = ("a coherent sheaf", "a tilted object")
-        raise ValueError("%s expects %s, got %s" % (verb, kinds[tilted], kinds[not tilted]))
+        raise ValueError("%s expects %s, got %s" % (args.verb, kinds[tilted], kinds[not tilted]))
     return x
 
 
 def _pair(v) -> dict:
     return {"dim": v.dim, "ht": v.ht}
+
+
+def _k0(x):
+    """a, b and the text of x's class a*[O] + b*[O(1)] in K_0, x a sheaf or a heart object."""
+    from .sheaves import TiltedObject, k0_class
+    a, b = x.k0_class() if isinstance(x, TiltedObject) else k0_class(x)
+    return a, b, "%d*[O] + %d*[O(1)]" % (a, b)
+
+
+def _pieces(key: str, pairs):
+    """The HN pieces (slope or mu-, piece) as payload rows {key, object} and as text lines."""
+    rows = [{key: _mu_str(m), "object": str(p)} for m, p in pairs]
+    return rows, ["  %-6s %s" % (r[key], r["object"]) for r in rows]
 
 
 def _svg_polygon(vertices) -> str:
@@ -101,119 +107,65 @@ def _svg_polygon(vertices) -> str:
 # ---------------------------------------------------------------------- verbs
 
 
-def cmd_info(args) -> None:
-    from .parser import parse_object
-    from .sheaves import TiltedObject
-    x = parse_object(args.object)
-    if isinstance(x, TiltedObject):
-        _info_tilted(args, x)
-    else:
-        _info_sheaf(args, x)
-
-
-def _info_sheaf(args, F) -> None:
+def cmd_info(args):
+    """Both readings of one object. Its kind supplies the middle lines and the
+    HN filtration listed: slope and chi/h0/h1 and the HN pieces of a sheaf,
+    deg-/rg-/mu- and the hn- pieces of a heart object."""
     from . import bc, sheaves, tilting
-    rank, degree, mu = sheaves.numeric_invariants(F)
-    pieces = [] if F.is_zero else [
-        {"slope": str(s), "object": str(p)} for s, p in sheaves.hn(F)
-    ]
-    c, h0, h1 = sheaves.chi(F), sheaves.h0(F), sheaves.h1(F)
-    a, b = sheaves.k0_class(F)
-    dh = bc.dim_ht(tilting.tilt(F))
-    payload = {
-        "object": str(F),
-        "kind": "sheaf",
-        "invariants": {
-            "rank": rank,
-            "degree": degree,
-            "slope": None if mu is None else str(mu),
-        },
-        "chi": [c.dim, c.ht],
-        "h0": [h0.dim, h0.ht],
-        "h1": [h1.dim, h1.ht],
-        "k0": {"a": a, "b": b},
-        "bc": _pair(dh),
-        "pieces": pieces,
-    }
-    lines = [
-        "object: %s" % F,
-        "kind: sheaf",
-        "rank: %d" % rank,
-        "degree: %d" % degree,
-        "slope: %s" % ("-" if mu is None else mu),
-        "chi: %s   h0: %s   h1: %s" % (c, h0, h1),
-        "k0: %d*[O] + %d*[O(1)]" % (a, b),
-        "bc dim/ht: %s" % (dh,),
-    ]
-    if pieces:
-        lines.append("hn pieces:")
-        lines.extend("  %-6s %s" % (p["slope"], p["object"]) for p in pieces)
-    _emit(args, "info", lines, payload)
-
-
-def _info_tilted(args, A) -> None:
-    from fractions import Fraction
-    from . import bc, tilting
-    rank, degree = A.rank, A.degree
-    if A.is_zero:
-        slope = None
-        tilted_block = None
-        pieces = []
+    x = _object(args, args.object)
+    if isinstance(x, sheaves.TiltedObject):
+        kind, key, hn, title = "tilted", "mu", tilting.hn_minus, "hn- pieces:"
+        slope, middle, block = None, [], None
+        if not x.is_zero:
+            from fractions import Fraction
+            slope = "inf" if x.rank == 0 else str(Fraction(x.degree, x.rank))
+            dm, rm, mu = tilting.tilted_invariants(x)
+            block = {"deg_minus": dm, "rg_minus": rm, "mu_minus": _mu_str(mu)}
+            middle = ["deg-: %d   rg-: %d   mu-: %s" % (dm, rm, block["mu_minus"])]
+        fields = {"tilted": block}
     else:
-        slope = "inf" if rank == 0 else str(Fraction(degree, rank))
-        dm, rm, mu = tilting.tilted_invariants(A)
-        tilted_block = {"deg_minus": dm, "rg_minus": rm, "mu_minus": _mu_str(mu)}
-        pieces = [
-            {"mu": _mu_str(m), "object": str(p)} for m, p in tilting.hn_minus(A)
-        ]
-    a, b = A.k0_class()
-    dh = bc.dim_ht(A)
+        kind, key, hn, title = "sheaf", "slope", sheaves.hn, "hn pieces:"
+        mu = sheaves.numeric_invariants(x)[2]
+        slope = None if mu is None else str(mu)
+        c, h0, h1 = sheaves.chi(x), sheaves.h0(x), sheaves.h1(x)
+        middle = ["slope: %s" % (slope or "-"), "chi: %s   h0: %s   h1: %s" % (c, h0, h1)]
+        fields = {"chi": list(c), "h0": list(h0), "h1": list(h1)}
+    a, b, k0 = _k0(x)
+    dh = bc.dim_ht(x)
+    rows, text = _pieces(key, [] if x.is_zero else hn(x))
     payload = {
-        "object": str(A),
-        "kind": "tilted",
-        "invariants": {"rank": rank, "degree": degree, "slope": slope},
-        "tilted": tilted_block,
+        "object": str(x),
+        "kind": kind,
+        "invariants": {"rank": x.rank, "degree": x.degree, "slope": slope},
+        **fields,
         "k0": {"a": a, "b": b},
         "bc": _pair(dh),
-        "pieces": pieces,
+        "pieces": rows,
     }
-    lines = [
-        "object: %s" % A,
-        "kind: tilted",
-        "rank: %d" % rank,
-        "degree: %d" % degree,
-        "k0: %d*[O] + %d*[O(1)]" % (a, b),
-        "bc dim/ht: %s" % (dh,),
-    ]
-    if tilted_block is not None:
-        lines.insert(4, "deg-: %d   rg-: %d   mu-: %s"
-                     % (tilted_block["deg_minus"], tilted_block["rg_minus"],
-                        tilted_block["mu_minus"]))
-    if pieces:
-        lines.append("hn- pieces:")
-        lines.extend("  %-6s %s" % (p["mu"], p["object"]) for p in pieces)
-    _emit(args, "info", lines, payload)
+    lines = ["object: %s" % x, "kind: " + kind, "rank: %d" % x.rank, "degree: %d" % x.degree,
+             *middle, "k0: " + k0, "bc dim/ht: %s" % (dh,)]
+    if rows:
+        lines += [title, *text]
+    return lines, payload
 
 
-def cmd_hn(args) -> None:
+def cmd_hn(args):
     from . import sheaves
-    from .parser import parse_object
-    F = _require(parse_object(args.object), "hn")
+    F = _object(args, args.object, False)
     pieces = sheaves.hn(F)
+    rows, text = _pieces("slope", pieces)
     vertices = [(0, 0)]
-    rows = []
-    for s, p in pieces:
+    for row, (_, p) in zip(rows, pieces):
+        row["vector"] = [p.rank, p.degree]
         x, y = vertices[-1]
         vertices.append((x + p.rank, y + p.degree))
-        rows.append({"slope": str(s), "object": str(p), "vector": [p.rank, p.degree]})
     payload = {
         "object": str(F),
         "pieces": rows,
         "vertices": [list(v) for v in vertices],
     }
-    lines = ["object: %s" % F, "hn pieces:"]
-    lines.extend("  %-6s %s" % (r["slope"], r["object"]) for r in rows)
-    lines.append("vertices: " + " ".join("(%d,%d)" % v for v in vertices))
+    lines = ["object: %s" % F, "hn pieces:", *text,
+             "vertices: " + " ".join("(%d,%d)" % v for v in vertices)]
     if args.svg is not None:
         try:
             with open(args.svg, "w") as fh:
@@ -222,77 +174,60 @@ def cmd_hn(args) -> None:
             raise ValueError("cannot write %r: %s" % (args.svg, exc.strerror)) from exc
         payload["svg"] = args.svg
         lines.append("wrote %s" % args.svg)
-    _emit(args, "hn", lines, payload)
+    return lines, payload
 
 
-def _binary_verb(args, name: str) -> None:
+def _binary_verb(args):
     from . import sheaves
-    from .parser import parse_object
-    F = _require(parse_object(args.first), name)
-    G = _require(parse_object(args.second), name)
-    v = getattr(sheaves, name)(F, G)
-    _emit(args, name, ["%s" % (v,)], _pair(v))
+    F, G = _object(args, args.first, False), _object(args, args.second, False)
+    v = getattr(sheaves, args.verb)(F, G)
+    return ["%s" % (v,)], _pair(v)
 
 
-def cmd_chi(args) -> None:
+def cmd_chi(args):
     from . import sheaves
-    from .parser import parse_object
-    F = _require(parse_object(args.object), "chi")
-    v = sheaves.chi(F)
-    _emit(args, "chi", ["%s" % (v,)], _pair(v))
+    v = sheaves.chi(_object(args, args.object, False))
+    return ["%s" % (v,)], _pair(v)
 
 
-def cmd_k0(args) -> None:
-    from . import sheaves
-    from .parser import parse_object
-    x = parse_object(args.object)
-    a, b = x.k0_class() if isinstance(x, sheaves.TiltedObject) else sheaves.k0_class(x)
-    _emit(args, "k0", ["%d*[O] + %d*[O(1)]" % (a, b)], {"a": a, "b": b})
+def cmd_k0(args):
+    a, b, text = _k0(_object(args, args.object))
+    return [text], {"a": a, "b": b}
 
 
-def cmd_tilt(args) -> None:
+def cmd_tilt(args):
     from . import tilting
-    from .parser import parse_object
-    F = _require(parse_object(args.object), "tilt")
+    F = _object(args, args.object, False)
     A = tilting.tilt(F)
-    _emit(args, "tilt", [str(A)], {"object": str(F), "tilted": str(A)})
+    return [str(A)], {"object": str(F), "tilted": str(A)}
 
 
-def cmd_untilt(args) -> None:
+def cmd_untilt(args):
     from . import tilting
-    from .parser import parse_object
-    A = _require(parse_object(args.object), "untilt", True)
+    A = _object(args, args.object, True)
     F = tilting.double_tilt(A)
-    _emit(args, "untilt", [str(F)], {"object": str(A), "sheaf": str(F)})
+    return [str(F)], {"object": str(A), "sheaf": str(F)}
 
 
-def cmd_hnminus(args) -> None:
+def cmd_hnminus(args):
     from . import tilting
-    from .parser import parse_object
-    A = tilting._as_heart(parse_object(args.object))
-    rows = [
-        {"mu": _mu_str(m), "object": str(p)} for m, p in tilting.hn_minus(A)
-    ]
-    lines = ["object: %s" % A, "hn- pieces:"]
-    lines.extend("  %-6s %s" % (r["mu"], r["object"]) for r in rows)
-    _emit(args, "hnminus", lines, {"object": str(A), "pieces": rows})
+    A = tilting._as_heart(_object(args, args.object))
+    rows, text = _pieces("mu", tilting.hn_minus(A))
+    return ["object: %s" % A, "hn- pieces:", *text], {"object": str(A), "pieces": rows}
 
 
-def cmd_bc(args) -> None:
+def cmd_bc(args):
     from . import bc
-    from .parser import parse_object
-    x = parse_object(args.object)
+    x = _object(args, args.object)
     desc = bc.r0tau(x)
     inv = desc.invariant
     lines = ["object: %s" % x, "descriptor: %s" % desc, "dim/ht: %s" % (inv,)]
-    _emit(args, "bc", lines, {"object": str(x), "descriptor": desc.to_json()})
+    return lines, {"object": str(x), "descriptor": desc.to_json()}
 
 
-def cmd_present(args) -> None:
+def cmd_present(args):
     from . import bc
-    from .parser import parse_object
-    x = parse_object(args.object)
-    cert = bc.effective_presentation(x)
+    cert = bc.effective_presentation(_object(args, args.object))
     payload = {
         "target": str(cert.target),
         "kernel_rank": cert.a,
@@ -308,10 +243,10 @@ def cmd_present(args) -> None:
         "middle: %s" % cert.middle,
         "splice steps: %d" % len(cert.steps),
     ]
-    _emit(args, "present", lines, payload)
+    return lines, payload
 
 
-def cmd_breen(args) -> None:
+def cmd_breen(args):
     from . import bc
     tables = bc.breen_tables()
     labels = list(tables["labels"])
@@ -323,7 +258,7 @@ def cmd_breen(args) -> None:
         for i, row in enumerate(tables[key]):
             for j, v in enumerate(row):
                 lines.append("  %s -> %s: %s" % (labels[i], labels[j], v))
-    _emit(args, "breen", lines, payload)
+    return lines, payload
 
 
 def _parse_elements(texts):
@@ -346,7 +281,7 @@ def _cohomology_lines(H):
     return out
 
 
-def cmd_koszul(args) -> None:
+def cmd_koszul(args):
     from .complexes import complex_to_json, koszul
     from .exactalg import POLY_OVER_RATIONALS
     elems = _parse_elements(args.elements)
@@ -357,19 +292,19 @@ def cmd_koszul(args) -> None:
         "degrees %d..%d" % (K.lowest, K.highest),
         "ranks: %s" % " ".join(str(r) for r in K.ranks),
     ]
-    _emit(args, "koszul", lines, payload)
+    return lines, payload
 
 
-def cmd_cohom(args) -> None:
+def cmd_cohom(args):
     from .complexes import koszul_cohomology
     from .exactalg import POLY_OVER_RATIONALS
     elems = _parse_elements(args.elements)
     H = koszul_cohomology(POLY_OVER_RATIONALS, elems)
     payload = {"elements": [str(g) for g in elems], "H": _cohomology_payload(H)}
-    _emit(args, "cohom", _cohomology_lines(H), payload)
+    return _cohomology_lines(H), payload
 
 
-def cmd_eta(args) -> None:
+def cmd_eta(args):
     from .complexes import complex_to_json, koszul_cohomology, koszul_decalage
     from .exactalg import POLY_OVER_RATIONALS
     from .parser import parse_poly
@@ -391,10 +326,10 @@ def cmd_eta(args) -> None:
         "ranks: %s" % " ".join(str(r) for r in E.ranks),
     ]
     lines.extend(_cohomology_lines(H))
-    _emit(args, "eta", lines, payload)
+    return lines, payload
 
 
-def cmd_derham(args) -> None:
+def cmd_derham(args):
     from . import derham
     n, D = args.n, args.trunc
     qp = derham.qp_cohomology(n, D)
@@ -424,10 +359,10 @@ def cmd_derham(args) -> None:
             "frontier (certified at truncation): "
             + " ".join("(%d,%d)" % t for t in sorted(qp.boundary))
         )
-    _emit(args, "derham", lines, payload)
+    return lines, payload
 
 
-def cmd_cocycle(args) -> None:
+def cmd_cocycle(args):
     if args.report and args.q is not None:
         raise UsageError("pass either a degree or --report, not both")
     if not args.report and args.q is None:
@@ -450,8 +385,7 @@ def cmd_cocycle(args) -> None:
             % (mahler["degree_bound"], mahler["homology_dims"]),
             "ok: %s" % report["ok"],
         ]
-        _emit(args, "cocycle", lines, report)
-        return
+        return lines, report
     rep = cocycles.symmetric_2cocycle_report(args.q)
     payload = {
         "q": rep["q"],
@@ -466,7 +400,7 @@ def cmd_cocycle(args) -> None:
         "quotient: dim %d" % rep["quotient_dim"],
     ]
     lines.extend("  basis: %s" % b for b in payload["basis"])
-    _emit(args, "cocycle", lines, payload)
+    return lines, payload
 
 
 # ------------------------------------------------------------------- dispatch
@@ -485,9 +419,9 @@ _VERBS = (
     ("info", cmd_info, "full invariant report for one object", _OBJECT),
     ("hn", cmd_hn, "HN pieces and polygon of a sheaf",
      _OBJECT + (_arg("--svg", metavar="FILE", help="write the polygon as SVG"),)),
-    ("hom", partial(_binary_verb, name="hom"), "hom invariant of two sheaves", _PAIR),
-    ("ext1", partial(_binary_verb, name="ext1"), "ext^1 invariant of two sheaves", _PAIR),
-    ("ext2", partial(_binary_verb, name="ext2"), "ext^2 invariant of two sheaves", _PAIR),
+    ("hom", _binary_verb, "hom invariant of two sheaves", _PAIR),
+    ("ext1", _binary_verb, "ext^1 invariant of two sheaves", _PAIR),
+    ("ext2", _binary_verb, "ext^2 invariant of two sheaves", _PAIR),
     ("chi", cmd_chi, "Euler characteristic (degree, rank)", _OBJECT),
     ("k0", cmd_k0, "class in K_0 on the basis [O], [O(1)]", _OBJECT),
     ("tilt", cmd_tilt, "move a sheaf into the tilted heart", _OBJECT),
@@ -547,7 +481,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.func(args)
+        lines, payload = args.func(args)
+        if args.json:
+            import json
+            print(json.dumps({"schema": SCHEMA, "command": args.verb, **payload}, indent=2))
+        else:
+            print("\n".join(lines))
     except (ParseError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -128,6 +128,14 @@ def _admitted(dom: CoeffDomain, elements: Sequence) -> list:
     return gs
 
 
+def _scale(dom: CoeffDomain, f):
+    """f converted, refused unless it is a non-zero-divisor (over a domain, nonzero)."""
+    f = dom.convert(f)
+    if dom.is_zero(f):
+        raise ValueError("decalage needs a non-zero-divisor f")
+    return f
+
+
 def koszul(dom: CoeffDomain, elements: Sequence) -> BoundedComplex:
     """Koszul complex on the given elements, degrees 0..n.
 
@@ -184,9 +192,7 @@ def koszul_decalage(dom: CoeffDomain, f, elements: Sequence) -> BoundedComplex:
     targets of the j = m - 1 ones; h is monic over Q[t], positive over Z. g is
     checked as in koszul_cohomology."""
     gs = _admitted(dom, elements)
-    f = dom.convert(f)
-    if dom.is_zero(f):
-        raise ValueError("decalage needs a non-zero-divisor f")
+    f = _scale(dom, f)
     k, g = len(gs), _gcd(dom, gs)
     h = -_exact_div(dom, g, dom.gcd(f, g))
     ranks = tuple(comb(k, m) for m in range(k + 1))
@@ -291,10 +297,7 @@ def decalage(C: BoundedComplex, f, delta: ShiftProfile) -> BoundedComplex:
     Ranks are unchanged (each term is a finite-index free submodule);
     the differentials are rewritten in the new bases.
     """
-    dom = C.domain
-    f = dom.convert(f)
-    if dom.is_zero(f):
-        raise ValueError("decalage needs a non-zero-divisor f")
+    f = _scale(C.domain, f)
     return _decalage(C, f, delta, _eta_terms(C, f, delta))
 
 
@@ -386,9 +389,7 @@ def is_quasi_iso(phi: ChainMap) -> bool:
 def decalage_map(phi: ChainMap, f, delta: ShiftProfile) -> ChainMap:
     """Induced map between the shifted complexes, in the tracked bases."""
     dom = phi.source.domain
-    f = dom.convert(f)
-    if dom.is_zero(f):
-        raise ValueError("decalage needs a non-zero-divisor f")
+    f = _scale(dom, f)
     # one Smith pass per distinct complex: its eta terms give both the
     # shifted complex and the coordinates of the induced components
     src_terms = _eta_terms(phi.source, f, delta)

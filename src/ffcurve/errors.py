@@ -7,23 +7,21 @@ _set = object.__setattr__
 
 class Frozen:
     """Immutable record: a subclass's ``__init__`` parameters are its fields, in
-    order, each stored through ``_set``. Equality holds within one class only,
-    the hash is the field tuple's, and repr is ``Name(f=..., g=...)``."""
+    order, each stored through ``_set`` in that order, so ``vars`` holds exactly
+    the fields in field order. Equality holds within one class only, the hash
+    is the field tuple's, and repr is ``Name(f=..., g=...)``."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return vars(self) == vars(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(vars(self).values()))
 
     def __repr__(self) -> str:
         body = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)

@@ -137,7 +137,28 @@ MUTANTS = [
     ("decalage_h_is_g", "src/ffcurve/complexes.py",
      "h = -_exact_div(dom, g, dom.gcd(f, g))", "h = -g",
      ["tests/test_cli.py::test_inexact_division_is_a_certificate_failure",
-      "tests/test_complexes.py::test_koszul_closed_forms_match_the_smith_path"]),
+      "tests/test_complexes.py::test_koszul_closed_forms_match_the_smith_path",
+      "tests/test_cli.py::test_output_matches_golden[eta_t2-.txt]"]),
+    ("scale_zero_admitted", "src/ffcurve/complexes.py",
+     "    if dom.is_zero(f):\n        raise ValueError(\"decalage needs", "    if False:\n        raise ValueError(\"decalage needs",
+     ["tests/test_complexes.py::test_decalage_rejects_zero"]),
+    # ---- cli says each fact once
+    ("k0_a_b_swapped", "src/ffcurve/cli.py",
+     "    a, b = x.k0_class() if", "    b, a = x.k0_class() if",
+     ["tests/test_cli.py::test_output_matches_golden[k0_sheaf-.txt]"]),
+    ("info_heart_without_middle", "src/ffcurve/cli.py",
+     '            middle = ["deg-: %d   rg-: %d   mu-: %s" % (dm, rm, block["mu_minus"])]\n', "",
+     ["tests/test_cli.py::test_output_matches_golden[info_rank0_heart-.txt]"]),
+    ("envelope_sorted", "src/ffcurve/cli.py",
+     "**payload}, indent=2)", "**payload}, indent=2, sort_keys=True)",
+     ["tests/test_cli.py::test_output_matches_golden[info_sheaf-.json]"]),
+    ("object_kind_unchecked", "src/ffcurve/cli.py",
+     "if tilted is not None and isinstance(x, TiltedObject) != tilted:",
+     "if tilted and isinstance(x, TiltedObject) != tilted:",
+     ["tests/test_cli.py::test_tilt_rejects_tilted_input"]),
+    ("pieces_column_narrowed", "src/ffcurve/cli.py",
+     '"  %-6s %s" % (r[key]', '"  %-5s %s" % (r[key]',
+     ["tests/test_cli.py::test_output_matches_golden[hn_sheaf-.txt]"]),
     # ---- the parser at scan speed
     ("poly_sum_sign_flipped", "src/ffcurve/parser.py",
      'node = total + node if sign == "+" else total - node',
@@ -149,7 +170,8 @@ MUTANTS = [
      ["tests/test_parser.py::test_parsers_agree_with_the_character_loop_oracle"]),
     ("negative_exponent_unchecked", "src/ffcurve/parser.py",
      'if toks[i + 1] == "-":', "if False:",
-     ["tests/test_parser.py::test_parsers_agree_with_the_character_loop_oracle"]),
+     ["tests/test_parser.py::test_corpus_agrees_with_the_character_loop_oracle",
+      "tests/test_parser.py::test_parsers_agree_with_the_character_loop_oracle"]),
     ("label_takes_any_token", "src/ffcurve/parser.py",
      "if not sheaves._is_label(label):", "if not label:",
      ["tests/test_parser.py::test_parsers_agree_with_the_character_loop_oracle"]),

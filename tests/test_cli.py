@@ -131,6 +131,7 @@ def test_domain_error_exit_code(capsys):
 def test_untilt_requires_tilted(capsys):
     code, _, err = run(capsys, "untilt", "O(1)")
     assert code == 1
+    assert err == "error: untilt expects a tilted object, got a coherent sheaf\n"
 
 
 def test_tilt_rejects_tilted_input(capsys):
@@ -325,7 +326,25 @@ _GOLDEN_ARGV = {
     "info_heart": ["info", _HEART],
     "info_sheaf": ["info", "O(5/2) + O(-1)^2 + T(x,[2])"],
     "breen": ["breen"],
+    "info_0": ["info", "0"],
+    "info_rank0_heart": ["info", "tilted(O(-1); O(1))"],
+    "hn_sheaf": ["hn", "O(5/2) + O(-1)^2 + T(x,[2])"],
+    "hnminus_heart": ["hnminus", _HEART],
+    "chi_sheaf": ["chi", "O(5/2) + O(-1)^2 + T(x,[2])"],
+    "hom_bundles": ["hom", "O(1/2) + T(x,[1])", "O(5/3) + O(-1)"],
+    "ext1_bundles": ["ext1", "O(1) + T(inf,[2])", "O(-1/2) + O^2"],
+    "ext2_bundles": ["ext2", "O(1)", "O(-1/2)"],
+    "tilt_sheaf": ["tilt", "O(5/2) + O(-1)^2 + T(x,[2])"],
+    "untilt_heart": ["untilt", _HEART],
+    "k0_sheaf": ["k0", "O(5/2) + O(-1)^2 + T(x,[2])"],
+    "k0_heart": ["k0", _HEART],
+    # gcd(f, g) = t^2 is not 1: h = g / gcd(f, g) = t
+    "eta_t2": ["eta", "t^2", "t^3", "t^4"],
 }
+
+
+def test_every_verb_has_a_golden():
+    assert {verb[0] for verb in cli._VERBS} == {argv[0] for argv in _GOLDEN_ARGV.values()}
 
 
 @pytest.mark.parametrize("suffix", [".txt", ".json"])
