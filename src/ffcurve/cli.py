@@ -266,19 +266,15 @@ def _parse_elements(texts):
     return [parse_poly(t) for t in texts]
 
 
-def _cohomology_payload(H) -> dict:
-    return {
-        str(j): {"rank": r, "torsion": [str(t) for t in factors]}
-        for j, (r, factors) in sorted(H.items())
-    }
-
-
-def _cohomology_lines(H):
-    out = []
-    for j, (r, factors) in sorted(H.items()):
-        tail = ", torsion [%s]" % ", ".join(str(t) for t in factors) if factors else ""
-        out.append("H^%d: rank %d%s" % (j, r, tail))
-    return out
+def _cohomology(H):
+    """H^j as payload rows {j: {rank, torsion}} and as text lines."""
+    rows = {str(j): {"rank": r, "torsion": [str(t) for t in factors]}
+            for j, (r, factors) in sorted(H.items())}
+    lines = []
+    for j, r in rows.items():
+        tail = ", torsion [%s]" % ", ".join(r["torsion"]) if r["torsion"] else ""
+        lines.append("H^%s: rank %d%s" % (j, r["rank"], tail))
+    return rows, lines
 
 
 def cmd_koszul(args):
@@ -299,34 +295,31 @@ def cmd_cohom(args):
     from .complexes import koszul_cohomology
     from .exactalg import POLY_OVER_RATIONALS
     elems = _parse_elements(args.elements)
-    H = koszul_cohomology(POLY_OVER_RATIONALS, elems)
-    payload = {"elements": [str(g) for g in elems], "H": _cohomology_payload(H)}
-    return _cohomology_lines(H), payload
+    rows, lines = _cohomology(koszul_cohomology(POLY_OVER_RATIONALS, elems))
+    return lines, {"elements": [str(g) for g in elems], "H": rows}
 
 
 def cmd_eta(args):
-    from .complexes import complex_to_json, koszul_cohomology, koszul_decalage
+    from .complexes import _scale, complex_to_json, koszul_cohomology, koszul_decalage
     from .exactalg import POLY_OVER_RATIONALS
     from .parser import parse_poly
-    f = parse_poly(args.f)
-    if f.is_zero:
-        raise ValueError("the decalage scale must be nonzero")
+    f = _scale(POLY_OVER_RATIONALS, parse_poly(args.f))
     elems = _parse_elements(args.elements)
     E = koszul_decalage(POLY_OVER_RATIONALS, f, elems)
     # E is, up to a signed reordering of bases, the Koszul complex on d_0 = (0, ..., 0, -h)
-    H = koszul_cohomology(POLY_OVER_RATIONALS, [row[0] for row in E.differentials[0].data])
+    d0 = [row[0] for row in E.differentials[0].data]
+    rows, h_lines = _cohomology(koszul_cohomology(POLY_OVER_RATIONALS, d0))
     payload = {
         "f": str(f),
         "elements": [str(g) for g in elems],
         "complex": complex_to_json(E),
-        "cohomology": _cohomology_payload(H),
+        "cohomology": rows,
     }
     lines = [
         "eta_%s of the koszul complex on %s" % (f, ", ".join(str(g) for g in elems)),
         "ranks: %s" % " ".join(str(r) for r in E.ranks),
     ]
-    lines.extend(_cohomology_lines(H))
-    return lines, payload
+    return lines + h_lines, payload
 
 
 def cmd_derham(args):

@@ -3,8 +3,10 @@
 Cohomology is read off one Smith elimination per differential, which builds
 no transform: Ker d_j is a direct summand, so H^j is free of rank
 n_j - rank d_j - rank d_{j-1} plus the non-unit invariant factors of d_{j-1}.
-The shift functor eta_{delta,f} re-presents the submodule terms in explicit
-free bases, replaying only V and V^-1 of each differential, so induced
+The shift functor eta_{delta,f} re-presents the submodule terms in the free
+bases B = V diag(t) of the Smith forms of the differentials. No V is built:
+a product M B replays the column log of the elimination on M, and a solve
+B X = W replays its inverse operations on the rows of W, so induced
 differentials and induced chain maps stay over the domain with exact
 divisions only. On Koszul complexes both are read off the gcd of the elements.
 """
@@ -20,11 +22,13 @@ from .errors import CertificateError, Frozen, _check_budget, _check_int, _set
 from .exactalg import (
     CoeffDomain,
     Mat,
+    _col_op,
+    _replayed,
+    _row_op,
     identity,
     mat_mul,
     mat_neg,
     mat_to_json,
-    replay_cols,
     smith_elimination,
     zeros,
 )
@@ -241,23 +245,27 @@ def _exact_div(dom: CoeffDomain, a, b):
 
 
 class _EtaTerm:
-    """Basis data for one term of eta: columns of B span the submodule."""
+    """One term of eta, in the basis B = V diag(tvec): V is the product of the
+    logged column operations cols, and tvec scales its columns."""
 
-    __slots__ = ("B", "Vinv", "tvec")
+    __slots__ = ("cols", "tvec")
 
-    def __init__(self, B: Mat, Vinv: Mat, tvec: Tuple):
-        self.B = B
-        self.Vinv = Vinv
+    def __init__(self, cols: Tuple[tuple, ...], tvec: Tuple):
+        self.cols = cols
         self.tvec = tvec
 
+    def times_basis(self, M: Mat) -> Mat:
+        """M B: the column operations replayed on M, then column k times tvec[k]."""
+        MV = _replayed(M, self.cols, _col_op)
+        return Mat(MV.rows, MV.cols,
+                   tuple(tuple(x * s for x, s in zip(row, self.tvec)) for row in MV.data))
+
     def coordinates(self, dom: CoeffDomain, W: Mat) -> Mat:
-        """Solve B X = W exactly (columns of W lie in the span)."""
-        raw = mat_mul(dom, self.Vinv, W)
-        data = tuple(
-            tuple(_exact_div(dom, x, self.tvec[i]) for x in raw.data[i])
-            for i in range(raw.rows)
-        )
-        return Mat(raw.rows, raw.cols, data)
+        """Solve B X = W exactly (columns of W lie in the span): the inverse
+        operations replayed on the rows of W, then row i divided by tvec[i]."""
+        X = _replayed(W, self.cols, _row_op, inverse=True)
+        return Mat(X.rows, X.cols, tuple(tuple(_exact_div(dom, x, s) for x in row)
+                                         for row, s in zip(X.data, self.tvec)))
 
 
 def _eta_terms(C: BoundedComplex, f, delta: ShiftProfile) -> List[_EtaTerm]:
@@ -267,27 +275,12 @@ def _eta_terms(C: BoundedComplex, f, delta: ShiftProfile) -> List[_EtaTerm]:
         n = C.rank_at(j)
         c = max(0, delta(j + 1) - delta(j))
         if c == 0:
-            terms.append(_EtaTerm(identity(dom, n), identity(dom, n), (dom.one,) * n))
+            terms.append(_EtaTerm((), (dom.one,) * n))
             continue
         smith = smith_elimination(dom, C.differential_at(j))
-        V, Vinv = replay_cols(dom, smith)
         fpow = f ** c
-        tvec = []
-        for i in range(n):
-            if i < smith.rank:
-                g = dom.gcd(smith.invariant_factors[i], fpow)
-                tvec.append(_exact_div(dom, fpow, g))
-            else:
-                tvec.append(dom.one)
-        B = Mat(
-            n,
-            n,
-            tuple(
-                tuple(V.data[i][k] * tvec[k] for k in range(n))
-                for i in range(n)
-            ),
-        )
-        terms.append(_EtaTerm(B, Vinv, tuple(tvec)))
+        tvec = tuple(_exact_div(dom, fpow, dom.gcd(s, fpow)) for s in smith.invariant_factors)
+        terms.append(_EtaTerm(smith.cols, tvec + (dom.one,) * (n - smith.rank)))
     return terms
 
 
@@ -310,7 +303,7 @@ def _decalage(
     for i, j in enumerate(range(C.lowest, C.highest)):
         c = max(0, delta(j + 1) - delta(j))
         e = max(0, delta(j) - delta(j + 1))
-        W = mat_mul(dom, C.differentials[i], terms[i].B)
+        W = terms[i].times_basis(C.differentials[i])
         fc, fe = f ** c, f ** e
         data = tuple(
             tuple(_exact_div(dom, x, fc) * fe for x in row) for row in W.data
@@ -401,6 +394,6 @@ def decalage_map(phi: ChainMap, f, delta: ShiftProfile) -> ChainMap:
         target = _decalage(phi.target, f, delta, tgt_terms)
     comps = []
     for i in range(len(phi.components)):
-        W = mat_mul(dom, phi.components[i], src_terms[i].B)
+        W = src_terms[i].times_basis(phi.components[i])
         comps.append(tgt_terms[i].coordinates(dom, W))
     return ChainMap(source, target, tuple(comps))

@@ -2,19 +2,21 @@
 
 Elements are plain ints (INTEGERS), Fractions (RATIONALS) or Poly values
 (POLY_OVER_RATIONALS). Smith normal form S = U A V is one elimination on S
-that logs its row and column operations; replaying a log builds U or V and
-its inverse. smith_normal_form replays both; a caller that reads only the
-rank and the diagonal replays none, one that needs a source basis only V.
+that logs its row and column operations. _replayed applies a log to any
+matrix: on an identity it builds U or V, and with the inverse operations
+their inverses. smith_normal_form replays both logs; a caller that reads
+only the rank and the diagonal replays none, and one that multiplies by V
+or solves against it replays the column log on its own matrices.
 
-Over Q the elimination and the replays run on integers: each row or column
-is a list of integer numerators over one shared denominator, reduced by
-their gcd after each operation, and Fractions are built once, at the end.
-A field needs no remainder loop: the pivot is the first nonzero entry,
-rows below it are cleared by cross-multiplication, and its row is cleared
-by logging column operations that change that row alone. So each logged
-operation touches one vector of the inverse transform while the vectors
-it reads are still unit vectors, and Uinv and Vinv are read off the logs
-entry by entry; only U and V are replayed.
+Over Q the elimination and smith_normal_form's transforms run on integers:
+each row or column is a list of integer numerators over one shared
+denominator, reduced by their gcd after each operation, and Fractions are
+built once, at the end. A field needs no remainder loop: the pivot is the
+first nonzero entry, rows below it are cleared by cross-multiplication, and
+its row is cleared by logging column operations that change that row alone.
+So each logged operation touches one vector of the inverse transform while
+the vectors it reads are still unit vectors, and Uinv and Vinv are read off
+the logs entry by entry; only U and V are replayed.
 
 Q[t] entries are Poly values, which store their coefficients the same way:
 integer numerators over one denominator. So the Q[t] elimination and replays
@@ -397,28 +399,13 @@ def smith_elimination(dom: CoeffDomain, A: Mat) -> SmithElimination:
     return SmithElimination(Mat(m, n, tuple(map(tuple, S))), t, tuple(rows), tuple(cols))
 
 
-def _replay(dom: CoeffDomain, n: int, log, op, inverse_op) -> Tuple[Mat, Mat]:
-    """(P, P^-1): P takes each logged operation by op, P^-1 its inverse by inverse_op."""
-    P = [list(row) for row in identity(dom, n).data]
-    Pinv = [list(row) for row in identity(dom, n).data]
+def _replayed(M: Mat, log, op, inverse: bool = False) -> Mat:
+    """A copy of M with each logged (kind, i, j, q, q') applied in order by op,
+    with q, or with q' when inverse is set."""
+    rows = [list(row) for row in M.data]
     for kind, i, j, q, qinv in log:
-        op(P, kind, i, j, q)
-        inverse_op(Pinv, kind, i, j, qinv)
-    return tuple(Mat(n, n, tuple(map(tuple, M))) for M in (P, Pinv))
-
-
-def replay_rows(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
-    """(U, Uinv) of E: U takes the row operations, Uinv their inverses on columns."""
-    if dom is RATIONALS:
-        return _q_transforms(E.S.rows, E.rows, True)
-    return _replay(dom, E.S.rows, E.rows, _row_op, _col_op)
-
-
-def replay_cols(dom: CoeffDomain, E: SmithElimination) -> Tuple[Mat, Mat]:
-    """(V, Vinv) of E: V takes the column operations, Vinv their inverses on rows."""
-    if dom is RATIONALS:
-        return _q_transforms(E.S.cols, E.cols, False)
-    return _replay(dom, E.S.cols, E.cols, _col_op, _row_op)
+        op(rows, kind, i, j, qinv if inverse else q)
+    return Mat(M.rows, M.cols, tuple(map(tuple, rows)))
 
 
 # A rational vector is (numerators, denominator): a list of ints and one
@@ -499,11 +486,11 @@ def _q_elimination(A: Mat) -> SmithElimination:
 
 
 def _q_transforms(n: int, log, by_rows: bool) -> Tuple[Mat, Mat]:
-    """_replay over Q. P is replayed on the vectors its operations act on
-    (rows for a row log, columns for a column log). P^-1, kept as the other
-    kind, is read off the log: step c of the elimination changes only vector
-    c there, and only from vectors after c, which until their own step are
-    the unit vectors at pos[...], moved by the swaps alone. So each add
+    """(P, P^-1) of a log over Q. P is replayed on the vectors its operations
+    act on (rows for a row log, columns for a column log). P^-1, kept as the
+    other kind, is read off the log: step c of the elimination changes only
+    vector c there, and only from vectors after c, which until their own step
+    are the unit vectors at pos[...], moved by the swaps alone. So each add
     writes the one entry q' and each scale multiplies one vector."""
     zero, one = RATIONALS.zero, RATIONALS.one
     P = [([int(i == k) for k in range(n)], 1) for i in range(n)]
@@ -534,6 +521,12 @@ def _q_transforms(n: int, log, by_rows: bool) -> Tuple[Mat, Mat]:
 def smith_normal_form(dom: CoeffDomain, A: Mat) -> SmithForm:
     """The elimination with both transforms and their inverses replayed."""
     E = smith_elimination(dom, A)
-    U, Uinv = replay_rows(dom, E)
-    V, Vinv = replay_cols(dom, E)
+    if dom is RATIONALS:
+        U, Uinv = _q_transforms(A.rows, E.rows, True)
+        V, Vinv = _q_transforms(A.cols, E.cols, False)
+    else:
+        # U takes the row operations, Uinv their inverses on columns; V, Vinv the other way
+        Im, In = identity(dom, A.rows), identity(dom, A.cols)
+        U, Uinv = _replayed(Im, E.rows, _row_op), _replayed(Im, E.rows, _col_op, True)
+        V, Vinv = _replayed(In, E.cols, _col_op), _replayed(In, E.cols, _row_op, True)
     return SmithForm(S=E.S, U=U, Uinv=Uinv, V=V, Vinv=Vinv, rank=E.rank)

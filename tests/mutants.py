@@ -141,7 +141,21 @@ MUTANTS = [
       "tests/test_cli.py::test_output_matches_golden[eta_t2-.txt]"]),
     ("scale_zero_admitted", "src/ffcurve/complexes.py",
      "    if dom.is_zero(f):\n        raise ValueError(\"decalage needs", "    if False:\n        raise ValueError(\"decalage needs",
-     ["tests/test_complexes.py::test_decalage_rejects_zero"]),
+     ["tests/test_complexes.py::test_decalage_rejects_zero",
+      "tests/test_cli.py::test_eta_zero_scale_is_refused_by_the_library_rule_first"]),
+    # ---- decalage replays the Smith log on its own matrices
+    ("coordinates_replay_q_not_qinv", "src/ffcurve/complexes.py",
+     "X = _replayed(W, self.cols, _row_op, inverse=True)", "X = _replayed(W, self.cols, _row_op)",
+     ["tests/test_complexes.py::test_decalage_values_are_pinned"]),
+    ("basis_without_tvec", "src/ffcurve/complexes.py",
+     "tuple(tuple(x * s for x, s in zip(row, self.tvec))",
+     "tuple(tuple(x for x, s in zip(row, self.tvec))",
+     ["tests/test_complexes.py::test_decalage_values_are_pinned"]),
+    ("replay_log_reversed", "src/ffcurve/exactalg.py",
+     "    for kind, i, j, q, qinv in log:\n        op(rows,",
+     "    for kind, i, j, q, qinv in reversed(log):\n        op(rows,",
+     ["tests/test_complexes.py::test_decalage_values_are_pinned",
+      "tests/test_exactalg.py::test_smith_form_matches_dense_loops"]),
     # ---- cli says each fact once
     ("k0_a_b_swapped", "src/ffcurve/cli.py",
      "    a, b = x.k0_class() if", "    b, a = x.k0_class() if",

@@ -212,6 +212,14 @@ def test_eta_zero_scale(capsys):
     assert code == 1
 
 
+def test_eta_zero_scale_is_refused_by_the_library_rule_first(capsys):
+    # complexes._scale refuses f = 0 before the elements are parsed, so a
+    # malformed element after it does not turn exit 1 into exit 2
+    for argv in (["eta", "0", "t"], ["eta", "0", "t^"], ["eta", "0", "t", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: decalage needs a non-zero-divisor f\n")
+
+
 def test_derham_json(capsys):
     payload = run_json(capsys, "derham", "1", "--trunc", "4", "--json")
     assert payload["n"] == 1 and payload["trunc"] == 4
@@ -362,7 +370,7 @@ def test_cohom_and_eta_run_no_smith_elimination(capsys, monkeypatch):
 
     for module in (complexes, exactalg):
         monkeypatch.setattr(module, "smith_elimination", refuse)
-        monkeypatch.setattr(module, "replay_cols", refuse)
+        monkeypatch.setattr(module, "_replayed", refuse)
     monkeypatch.setattr(complexes, "decalage", refuse)
     for stem in ("eta_t", "eta_t-3", "cohom_three"):
         for suffix in (".txt", ".json"):
@@ -390,7 +398,7 @@ def test_large_cohom_and_eta_answer_the_smith_path_cohomology(capsys, argv):
         K = complexes.decalage(K, f, complexes.ShiftProfile.identity(0, K.highest))
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out.splitlines()[-len(K.ranks):] == cli._cohomology_lines(complexes.cohomology(K))
+    assert out.splitlines()[-len(K.ranks):] == cli._cohomology(complexes.cohomology(K))[1]
 
 
 def test_certificate_failure_exit_code(capsys, monkeypatch):

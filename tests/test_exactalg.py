@@ -851,10 +851,9 @@ def test_q_inverse_transforms_match_the_replayed_ones():
         for A in mats:
             E = smith_elimination(RATIONALS, A)
             deficient += E.rank < min(A.rows, A.cols)
-            for got, want in (
-                (exactalg.replay_rows(RATIONALS, E), _replayed_q_transforms(A.rows, E.rows, True)),
-                (exactalg.replay_cols(RATIONALS, E), _replayed_q_transforms(A.cols, E.cols, False)),
-            ):
+            for n, log, by_rows in ((A.rows, E.rows, True), (A.cols, E.cols, False)):
+                got = exactalg._q_transforms(n, log, by_rows)
+                want = _replayed_q_transforms(n, log, by_rows)
                 assert got == want, (dens, A.rows, A.cols)
                 assert [_typed(M) for M in got] == [_typed(M) for M in want]
     assert deficient >= 60
@@ -881,8 +880,8 @@ def test_q_smith_form_replays_one_axpy_per_logged_add(monkeypatch):
         smith_normal_form(RATIONALS, A)
         assert len(calls) == row_adds + (row_adds + col_adds)
         calls.clear()
-        exactalg.replay_rows(RATIONALS, E)
-        exactalg.replay_cols(RATIONALS, E)
+        exactalg._q_transforms(A.rows, E.rows, True)
+        exactalg._q_transforms(A.cols, E.cols, False)
         assert len(calls) == row_adds + col_adds
 
 
