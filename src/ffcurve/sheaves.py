@@ -7,7 +7,9 @@ non-increasing invariant-factor lists. All cohomological data lives at the
 level of (dimension, height) pairs, and on bundles it has a closed form:
 Hom(O(lam), O(mu)) is H^0(O(mu - lam)), of (dimension, height)
 (D, h_lam*h_mu) with D = d_mu*h_lam - d_lam*h_mu when D >= 0, and Ext^1 is
--(D, h_lam*h_mu) when D < 0. H^0 and H^1 are the same pairing against O.
+-(D, h_lam*h_mu) when D < 0. The atoms are stored sorted, so both are running
+sums of one walk, and the same-point torsion pairing is one merge: linear in
+the atoms, not a sum over pairs. H^0 and H^1 are the pairing against O.
 """
 
 from __future__ import annotations
@@ -172,29 +174,33 @@ def hn(F: CoherentSheaf) -> List[Tuple[Slope, CoherentSheaf]]:
 _UNIT = ((Slope(0), 1),)
 
 
-def _pairing(src: Sequence[BundleAtom], dst: Sequence[BundleAtom], ext: bool) -> BCInvariant:
-    """Hom (ext false) or Ext^1 (ext true) between the bundle atoms.
+def _pairing(src: Sequence[BundleAtom], dst: Sequence[BundleAtom]) -> Tuple[BCInvariant, BCInvariant]:
+    """(Hom, Ext^1) between the bundle atoms, in one walk down both lists.
 
     O(lam)^a, O(mu)^b add a*b*(D, h_lam*h_mu), D = d_mu*h_lam - d_lam*h_mu,
-    to Hom when D >= 0 and its negative to Ext^1 when D < 0.
+    to Hom when D >= 0 and its negative to Ext^1 when D < 0, that is lam > mu.
+    Slopes descend, so for each mu the lam > mu are a prefix of src: Ext^1
+    reads running sums of a*h_lam and a*d_lam over it, Hom the totals minus them.
     """
-    dim = ht = 0
-    for lam, a in src:
-        for mu, b in dst:
-            D = mu.d * lam.h - lam.d * mu.h
-            if (D < 0) == ext:
-                n = a * b
-                dim += n * D
-                ht += n * lam.h * mu.h
-    return BCInvariant(-dim, -ht) if ext else BCInvariant(dim, ht)
+    H, Dg = sum(a * lam.h for lam, a in src), sum(a * lam.d for lam, a in src)
+    i = ph = pd = hd = hh = ed = eh = 0
+    for mu, b in dst:
+        while i < len(src) and mu < src[i][0]:
+            lam, a = src[i]
+            ph, pd, i = ph + a * lam.h, pd + a * lam.d, i + 1
+        hd += b * (mu.d * (H - ph) - mu.h * (Dg - pd))
+        hh += b * mu.h * (H - ph)
+        ed += b * (mu.h * pd - mu.d * ph)
+        eh -= b * mu.h * ph
+    return BCInvariant(hd, hh), BCInvariant(ed, eh)
 
 
 def h0(F: CoherentSheaf) -> BCInvariant:
-    return _pairing(_UNIT, F.bundle, False) + (F.torsion_length, 0)
+    return _pairing(_UNIT, F.bundle)[0] + (F.torsion_length, 0)
 
 
 def h1(F: CoherentSheaf) -> BCInvariant:
-    return _pairing(_UNIT, F.bundle, True)
+    return _pairing(_UNIT, F.bundle)[1]
 
 
 def chi(F: CoherentSheaf) -> BCInvariant:
@@ -215,13 +221,13 @@ def hom(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
     """Hom-space invariant, bilinear over the normal forms."""
     # bundle into torsion: rank * length sections of the stalk
     tors = F.rank * G.torsion_length + _torsion_pairing(F, G)
-    return _pairing(F.bundle, G.bundle, False) + (tors, 0)
+    return _pairing(F.bundle, G.bundle)[0] + (tors, 0)
 
 
 def ext1(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
     # torsion against bundles: dual pairing, length * rank
     tors = F.torsion_length * G.rank + _torsion_pairing(F, G)
-    return _pairing(F.bundle, G.bundle, True) + (tors, 0)
+    return _pairing(F.bundle, G.bundle)[1] + (tors, 0)
 
 
 def ext2(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
@@ -230,14 +236,17 @@ def ext2(F: CoherentSheaf, G: CoherentSheaf) -> BCInvariant:
 
 
 def _torsion_pairing(F: CoherentSheaf, G: CoherentSheaf) -> int:
-    """Same-point pairing: sum of min(a, b) over factor pairs."""
+    """Same-point pairing: sum of min(a, b) over factor pairs, in one merge of
+    the descending lists from their small ends, where the smaller end is the
+    min against every factor still left in the other list."""
     gt = dict(G.torsion)
     total = 0
     for label, fs in F.torsion:
-        other = gt.get(label)
-        if not other:
-            continue
-        total += sum(min(a, b) for a in fs for b in other)
+        fs, gs = list(fs), list(gt.get(label, ()))
+        while fs and gs:
+            if fs[-1] > gs[-1]:
+                fs, gs = gs, fs
+            total += fs.pop() * len(gs)
     return total
 
 

@@ -30,19 +30,35 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
 MUTANTS = [
-    # ---- Hom and Ext^1 from one closed form per bundle atom pair
-    ("pairing_hom_needs_positive_D", "src/ffcurve/sheaves.py",
-     "if (D < 0) == ext:", "if (D <= 0) == ext:",
+    # ---- Hom and Ext^1 in one walk over the sorted atoms
+    ("pairing_equal_slopes_to_ext1", "src/ffcurve/sheaves.py",
+     "and mu < src[i][0]:", "and mu <= src[i][0]:",
      ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
-    ("pairing_D_swapped", "src/ffcurve/sheaves.py",
-     "D = mu.d * lam.h - lam.d * mu.h", "D = lam.d * mu.h - mu.d * lam.h",
+    ("pairing_running_sum_without_multiplicity", "src/ffcurve/sheaves.py",
+     "ph + a * lam.h,", "ph + lam.h,",
      ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
-    ("pairing_height_without_multiplicity", "src/ffcurve/sheaves.py",
-     "ht += n * lam.h * mu.h", "ht += lam.h * mu.h",
+    ("pairing_hom_reads_the_prefix", "src/ffcurve/sheaves.py",
+     "        hd += b * (mu.d * (H - ph) - mu.h * (Dg - pd))\n"
+     "        hh += b * mu.h * (H - ph)\n",
+     "        hd += b * (mu.d * ph - mu.h * pd)\n"
+     "        hh += b * mu.h * ph\n",
      ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
     ("pairing_ext1_height_sign", "src/ffcurve/sheaves.py",
-     "return BCInvariant(-dim, -ht) if ext", "return BCInvariant(-dim, ht) if ext",
+     "eh -= b * mu.h * ph", "eh += b * mu.h * ph",
      ["tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
+    ("torsion_merge_count_off_by_one", "src/ffcurve/sheaves.py",
+     "total += fs.pop() * len(gs)", "total += fs.pop() * (len(gs) - 1)",
+     ["tests/test_sheaves.py::test_torsion_same_point_min_rule",
+      "tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
+    ("torsion_merge_from_the_large_ends", "src/ffcurve/sheaves.py",
+     "            if fs[-1] > gs[-1]:\n"
+     "                fs, gs = gs, fs\n"
+     "            total += fs.pop() * len(gs)\n",
+     "            if fs[0] < gs[0]:\n"
+     "                fs, gs = gs, fs\n"
+     "            total += fs.pop(0) * len(gs)\n",
+     ["tests/test_sheaves.py::test_torsion_same_point_min_rule",
+      "tests/test_sheaves.py::test_hom_ext1_h0_h1_agree_with_the_per_pair_oracle"]),
     ("hn_minus_torsion_first", "src/ffcurve/tilting.py",
      "    for s, m in A.neg.bundle:\n"
      "        mu = Fraction(s.h, -s.d)\n"
@@ -156,6 +172,51 @@ MUTANTS = [
      "    for kind, i, j, q, qinv in reversed(log):\n        op(rows,",
      ["tests/test_complexes.py::test_decalage_values_are_pinned",
       "tests/test_exactalg.py::test_smith_form_matches_dense_loops"]),
+    # ---- decalage against the closed forms of its cohomology
+    ("eta_profile_read_at_j", "src/ffcurve/complexes.py",
+     "        c = max(0, delta(j + 1) - delta(j))\n        if c == 0:",
+     "        c = max(0, delta(j) - delta(j))\n        if c == 0:",
+     ["tests/test_complexes.py::test_koszul_decalage_under_any_profile_has_its_closed_form",
+      "tests/test_complexes.py::test_identity_profile_decalage_kills_the_f_torsion"]),
+    # the pinned digests are all of Koszul complexes in degrees from 0
+    ("eta_terms_counted_from_degree_0", "src/ffcurve/complexes.py",
+     "    for j in C.degrees():\n        n = C.rank_at(j)",
+     "    for j in range(len(C.ranks)):\n        n = C.rank_at(j)",
+     ["tests/test_complexes.py::test_identity_profile_decalage_kills_the_f_torsion"]),
+    ("decalage_steps_counted_from_degree_0", "src/ffcurve/complexes.py",
+     "for i, j in enumerate(range(C.lowest, C.highest)):",
+     "for i, j in enumerate(range(len(C.differentials))):",
+     ["tests/test_complexes.py::test_identity_profile_decalage_kills_the_f_torsion"]),
+    ("eta_gcd_with_f_not_its_power", "src/ffcurve/complexes.py",
+     "dom.gcd(s, fpow)", "dom.gcd(s, f)",
+     ["tests/test_complexes.py::test_koszul_decalage_under_any_profile_has_its_closed_form"]),
+    # ---- hand mutants recorded before the table existed
+    ("levels_keep_h_1", "src/ffcurve/bc.py",
+     "for *_, s in _walk(self.target)[0] if s.h > 1)",
+     "for *_, s in _walk(self.target)[0] if s.h >= 1)",
+     ["tests/test_bc.py::test_presentation_integer_twist"]),
+    ("composite_level_tag_dropped", "src/ffcurve/bc.py",
+     'tag = "composite" if s.h == 1 else "composite@level%d" % s.h', 'tag = "composite"',
+     ["tests/test_bc.py::test_presentation_fractional_levels"]),
+    ("kernel_rank_without_h", "src/ffcurve/bc.py",
+     "m * h * (len(pre) + d - 1)", "m * (len(pre) + d - 1)",
+     ["tests/test_bc.py::test_presentation_fractional_levels"]),
+    ("reduce_loses_infinity", "src/ffcurve/slopes.py",
+     'return "INFINITY" if self.h == 0 else (Slope, (self.d, self.h))',
+     "return (Slope, (self.d, self.h))",
+     ["tests/test_sheaves.py::test_pickle_and_deepcopy_round_trip"]),
+    ("ext1_tilted_without_hom", "src/ffcurve/tilting.py",
+     "return ext1(A.neg, B.neg) + hom(A.neg, B.pos) + ext1(A.pos, B.pos)",
+     "return ext1(A.neg, B.neg) + ext1(A.pos, B.pos)",
+     ["tests/test_tilting.py::test_tilted_euler_form"]),
+    ("minus_infinity_a_float", "src/ffcurve/tilting.py",
+     "MU_MINUS_INFINITY = _MinusInfinity()", 'MU_MINUS_INFINITY = float("-inf")',
+     ["tests/test_tilting.py::test_minus_infinity_is_exact_and_below_every_rational"]),
+    # total_ordering derives __le__ from __lt__, and keeps one the class defines
+    ("minus_infinity_le_strict", "src/ffcurve/tilting.py",
+     '    def __repr__(self):\n        return "-inf"',
+     '    __le__ = __lt__\n\n    def __repr__(self):\n        return "-inf"',
+     ["tests/test_tilting.py::test_minus_infinity_is_exact_and_below_every_rational"]),
     # ---- cli says each fact once
     ("k0_a_b_swapped", "src/ffcurve/cli.py",
      "    a, b = x.k0_class() if", "    b, a = x.k0_class() if",

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from ffcurve import bc, cli, cocycles, complexes, derham, exactalg, sheaves, til
 from ffcurve.errors import BudgetError
 from ffcurve.parser import parse_poly, parse_sheaf
 from ffcurve.polyring import Poly
+from ffcurve.sheaves import BCInvariant
 
 
 def run(capsys, *argv):
@@ -676,6 +678,30 @@ def test_verb_loads_only_what_it_runs(verb):
 
 def test_usage_error_loads_no_engine():
     assert _loaded("cocycle") == (2, _LEAN)
+
+
+def _cold_json(*argv):
+    out = subprocess.run(
+        [sys.executable, "-m", "ffcurve.cli", *argv, "--json"], capture_output=True, text=True,
+        check=True, timeout=10, env=dict(os.environ, PYTHONPATH=_SRC),
+    ).stdout
+    payload = json.loads(out)
+    return BCInvariant(payload["dim"], payload["ht"])
+
+
+def test_hom_and_ext1_answer_the_largest_inputs_in_bounded_time():
+    # 60,000 factors a side is 120 KB, under Linux's 128 KB cap on one argument:
+    # Hom and Ext^1 are each the sum of min(1, 1) over 60,000^2 factor pairs
+    ones = "T(x,[%s])" % ",".join(["1"] * 60000)
+    for verb in ("hom", "ext1"):
+        assert _cold_json(verb, ones, ones) == (3600000000, 0)
+    # two sums of 6,000 distinct bundle atoms each, overlapping in most slopes
+    F, G = (" + ".join("O(%d/%d)" % s for s in [
+        (d, h) for h in range(1, 100) for d in range(off - 60, off + 61) if gcd(d, h) == 1][:6000])
+        for off in (0, 7))
+    # oracle: chi(RHom) is bilinear in K0 classes (see test_sheaves)
+    (a, b), (c, e) = (sheaves.k0_class(parse_sheaf(X)) for X in (F, G))
+    assert _cold_json("hom", F, G) - _cold_json("ext1", F, G) == (a * e - b * c, (a + b) * (c + e))
 
 
 def _subparsers(parser):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ffcurve import complexes, exactalg
 from ffcurve.complexes import (
@@ -282,6 +282,57 @@ def test_koszul_closed_forms_match_the_smith_path(case):
     h = dom.zero if dom.is_zero(g) else dom.divmod(g, dom.gcd(f, g))[0]
     h = h * dom.canonical_unit(h)
     assert {x for d in E.differentials for row in d.data for x in row} <= {dom.zero, -h}
+
+
+# Two basis-free checks of decalage against closed forms of its cohomology.
+# They compare invariant factors, not bases, so they hold under any choice of
+# Smith bases, where the pinned digests below name one.
+
+
+def _quo(dom, a, b):
+    q, r = dom.divmod(a, b)
+    assert dom.is_zero(r)
+    return q * dom.canonical_unit(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DOMAINS), st.integers(0, 2), st.integers(0, 2**32))
+def test_identity_profile_decalage_kills_the_f_torsion(dom, lo, seed):
+    # H^j(eta_f C) = H^j(C) / H^j(C)[f] (Bhatt-Morrow-Scholze, Integral p-adic
+    # Hodge theory, §6): each factor d becomes d / gcd(d, f), ranks stay
+    rng = random.Random(seed)
+    C, expected = random_known_complex(dom, rng, lo)
+    # the Z and Q[t] torsion factors are 2..6 and t, t + 1, t^2 + 1
+    scales = {INTEGERS: (2, 4, -6), POLY: (t, t + 1, t**2 + t)}.get(dom, ())
+    f = dom.zero
+    while dom.is_zero(f):
+        f = dom.convert(rng.choice(scales + (random_element(dom, rng),)))
+    want = {}
+    for j, (rank, factors) in expected.items():
+        kept = (_quo(dom, d, dom.gcd(d, f)) for d in factors)
+        want[j] = (rank, tuple(e for e in kept if e != dom.one))
+    assert cohomology(decalage(C, f, ShiftProfile.identity(lo, C.highest))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_koszul_inputs(), st.lists(st.integers(0, 3), min_size=1, max_size=6))
+@example((INTEGERS, 2, [8]), [0, 2])  # c = 2 on a factor 8 = f^3: gcd(8, f^c) is not gcd(8, f)
+def test_koszul_decalage_under_any_profile_has_its_closed_form(case, values):
+    # K = sum of the K(g)[-j], C(k-1, j) times, and eta is additive: H^{j+1}
+    # is C(k-1, j) copies of g lcm(f^d(j), f^d(j+1) / gcd(g, f^d(j+1))) / f^d(j+1)
+    dom, f, elements = case
+    g = dom.zero
+    for x in elements:
+        g = dom.gcd(g, x)
+    assume(not dom.is_zero(g))
+    delta, k = ShiftProfile(0, tuple(values)), len(elements)
+    want = {0: (0, ())}
+    for j in range(k):
+        fa, fb = f ** delta(j), f ** delta(j + 1)
+        x = _quo(dom, fb, dom.gcd(g, fb))
+        e = _quo(dom, g * _quo(dom, fa * x, dom.gcd(fa, x)), fb)
+        want[j + 1] = (0, (e,) * comb(k - 1, j) if e != dom.one else ())
+    assert cohomology(decalage(koszul(dom, elements), f, delta)) == want
 
 
 # -------------------------------------------------------------------- decalage
