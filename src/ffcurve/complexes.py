@@ -236,8 +236,6 @@ class ShiftProfile(Frozen):
 
 
 def _exact_div(dom: CoeffDomain, a, b):
-    if b == dom.one:
-        return a
     q, r = dom.divmod(a, b)
     if not dom.is_zero(r):
         raise CertificateError("inexact division while re-presenting a term")

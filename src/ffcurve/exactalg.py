@@ -43,7 +43,7 @@ class CoeffDomain:
     name = "?"
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     def divmod(self, a, b):
         return divmod(a, b)
@@ -127,17 +127,8 @@ class _PolyOverRationals(CoeffDomain):
     def convert(self, x):
         return x if isinstance(x, Poly) else Poly.const(x)
 
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
     def norm(self, a) -> int:
         return 0 if a.is_zero else a.degree + 1
-
-    def divides(self, a, b) -> bool:
-        # only the remainder is computed; a nonzero constant leaves none
-        if not a:
-            return not b
-        return not b % a
 
     def canonical_unit(self, a):
         return Poly.const(1) if a.is_zero else Poly.const(1 / a.leading)

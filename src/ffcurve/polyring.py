@@ -8,11 +8,13 @@ A polynomial is stored as a tuple of integer numerators over one positive
 denominator, in canonical form: no trailing zero numerator, the denominator
 coprime to the numerators, and zero as ((), 1). Equal polynomials therefore
 have equal fields, and all arithmetic runs on integers; Fractions are built
-only when coeffs is read. A sum of products, such as a matrix product
-entry or x + q*y, is added up on those rows by _mul_add and put in
-canonical form once. Division is pseudo-division on the integer rows, and
-the gcd a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, §4.6.1;
-Brown 1971, J. ACM 18).
+only when coeffs is read. Each operation has one path. Every product, a
+power's squares included, and every sum of products, such as a matrix
+product entry or x + q*y, is added up on those rows by _mul_add and put in
+canonical form once. Every quotient and remainder, by a constant too, is
+pseudo-division on the integer rows (_pseudo_divide), and the gcd a
+primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, §4.6.1; Brown
+1971, J. ACM 18).
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ def _mul_add(pairs, acc: "Poly" = None) -> "Poly":
     out, d = (list(acc._n), acc._d) if acc is not None else ([], 1)
     for a, b in pairs:
         an, bn, e = a._n, b._n, a._d * b._d
-        if out and d % e:
-            # reduced first, as a * b is: the factor its denominator shares
-            # with its numerators would otherwise scale the sum so far
-            p = a * b
-            an, bn, e = (1,), p._n, p._d
         # over lcm(d, e): the sum so far times e/g, this product times d/g
         m = e // gcd(d, e)
         if m != 1:
@@ -75,18 +72,19 @@ def _mul_add(pairs, acc: "Poly" = None) -> "Poly":
     return _canon(out, d)
 
 
-def _pseudo_divide(a: tuple, b: tuple, quotient: bool):
+def _pseudo_divide(a: tuple, b: tuple):
     """Integer rows q, r and an integer s > 0 with a = (q/s)*b + r/s, deg r < deg b.
 
-    Each step cross-multiplies: the remainder is scaled by |lead(b)|/g and
-    the term (r_top/g) t^k b removed, g = gcd(lead(b), r_top), so s never
-    changes sign and no Fraction is built. q is None unless asked for."""
+    Each step cross-multiplies: the remainder and the quotient so far are
+    scaled by |lead(b)|/g and the term (r_top/g) t^k b removed, g =
+    gcd(lead(b), r_top), so s never changes sign and no Fraction is built.
+    A constant b takes the same steps, and leaves r empty."""
     lb = b[-1]
     sign = 1 if lb > 0 else -1
     nb = len(b) - 1
     low = b[:-1]
     r = list(a)
-    q = [0] * (len(a) - nb) if quotient else None
+    q = [0] * (len(a) - nb)
     s = 1
     while len(r) > nb:
         top = r.pop()
@@ -96,10 +94,8 @@ def _pseudo_divide(a: tuple, b: tuple, quotient: bool):
         if m != 1:
             r = [x * m for x in r]
             s *= m
-            if quotient:
-                q = [x * m for x in q]
-        if quotient:
-            q[k] = c
+            q = [x * m for x in q]
+        q[k] = c
         for i, y in enumerate(low, k):
             if y:
                 r[i] -= c * y
@@ -203,26 +199,12 @@ class Poly:
         q = self._coerced(other)
         if q is NotImplemented:
             return NotImplemented
-        a, b = self._n, q._n
-        if not a or not b:
-            return _ZERO
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) > 1:
-            return _mul_add(((self, q),))
-        x = a[0]
-        return _canon([x * y for y in b], self._d * q._d)
+        return _mul_add(((self, q),))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         _check_int(n, "a Q[t] exponent", 0)
-        a = self._n
-        if len(a) <= 1 or not any(a[:-1]):
-            # c t^k, zero included: (c t^k)^n = c^n t^(kn), still in lowest terms
-            if not a:
-                return _ZERO if n else _ONE
-            return _new((0,) * ((len(a) - 1) * n) + (a[-1] ** n,), self._d ** n)
         out, base = _ONE, self
         while True:
             if n & 1:
@@ -232,41 +214,24 @@ class Poly:
                 return out
             base = base * base
 
-    def _divisor(self, other) -> "Poly":
-        b = self._coerced(other)
-        if b is not NotImplemented and not b._n:
-            raise ZeroDivisionError("polynomial division by zero")
-        return b
-
     def __divmod__(self, other):
-        b = self._divisor(other)
+        b = self._coerced(other)
         if b is NotImplemented:
             return NotImplemented
         (a, da), (bn, db) = (self._n, self._d), (b._n, b._d)
-        if len(bn) == 1:
-            # a / c for a constant c: numerators times c's denominator
-            c = bn[0]
-            sign = 1 if c > 0 else -1
-            return _canon([x * db * sign for x in a], da * abs(c)), _ZERO
+        if not bn:
+            raise ZeroDivisionError("polynomial division by zero")
         if len(a) < len(bn):
             return _ZERO, self
         # A = (Q/s) B + R/s on the integer rows gives a = (Q db/(s da)) b + R/(s da)
-        q, r, s = _pseudo_divide(a, bn, True)
+        q, r, s = _pseudo_divide(a, bn)
         return _canon([x * db for x in q], s * da), _canon(r, s * da)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        b = self._divisor(other)
-        if b is NotImplemented:
-            return NotImplemented
-        if len(b._n) == 1:
-            return _ZERO
-        if len(self._n) < len(b._n):
-            return self
-        _, r, s = _pseudo_divide(self._n, b._n, False)
-        return _canon(r, s * self._d)
+        return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
         a = self._n
@@ -326,7 +291,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _new(x, 1).monic()
     x, y = _primitive(x), _primitive(y)
     while len(y) > 1:
-        _, r, _ = _pseudo_divide(x, y, False)
+        _, r, _ = _pseudo_divide(x, y)
         if not r:
             return _canon(y, y[-1])
         x, y = y, _primitive(r)

@@ -6,8 +6,11 @@ copies src/, tests/ and pyproject.toml into a temporary directory, checks that
 every named test passes there unmutated, then applies one row at a time and
 runs its tests. A mutant is killed when its tests fail. A pytest run that
 takes over TIMEOUT_S seconds is stopped and its row reported as TIMEOUT,
-which counts as surviving. Exits 1 if any mutant survives, or if the
-unmutated tree fails. Uses only the standard library and pytest.
+which counts as surviving. Each run passes --hypothesis-seed, so a row that
+only a property kills gets the same verdict on every run; a property that
+misses its row under that seed carries an @example that does not. Exits 1 if
+any mutant survives, or if the unmutated tree fails. Uses only the standard
+library and pytest.
 
 A row is (name, file, old text, new text, node ids). The old text must occur
 exactly once in its file; tests/test_mutants.py checks that on every tier-1
@@ -28,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: seconds one pytest run may take; a mutant can turn a loop endless
 TIMEOUT_S = 120
+
+#: every pytest run draws the same hypothesis examples, so each verdict repeats
+HYPOTHESIS_SEED = 0
 
 MUTANTS = [
     # ---- Hom and Ext^1 in one walk over the sorted atoms
@@ -190,6 +196,76 @@ MUTANTS = [
     ("eta_gcd_with_f_not_its_power", "src/ffcurve/complexes.py",
      "dom.gcd(s, fpow)", "dom.gcd(s, f)",
      ["tests/test_complexes.py::test_koszul_decalage_under_any_profile_has_its_closed_form"]),
+    # ---- Q[t] arithmetic on one path per operation
+    ("pseudo_divide_quotient_not_rescaled", "src/ffcurve/polyring.py",
+     "            q = [x * m for x in q]\n", "",
+     ["tests/test_exactalg.py::test_poly_divmod_matches_fraction_schoolbook"]),
+    ("mod_reads_the_quotient", "src/ffcurve/polyring.py",
+     "return divmod(self, other)[1]", "return divmod(self, other)[0]",
+     ["tests/test_exactalg.py::test_poly_divmod_matches_fraction_schoolbook"]),
+    # ---- hand mutants of exactalg, polyring and complexes recorded before the table existed
+    ("row_add_skip_keyed_on_target", "src/ffcurve/exactalg.py",
+     "            if x:\n                ri[k] = _mul_add",
+     "            if ri[k]:\n                ri[k] = _mul_add",
+     ["tests/test_exactalg.py::test_smith_form_matches_dense_loops"]),
+    ("col_add_skip_keyed_on_target", "src/ffcurve/exactalg.py",
+     "            if r[i]:\n                r[j] = _mul_add",
+     "            if r[j]:\n                r[j] = _mul_add",
+     ["tests/test_exactalg.py::test_smith_form_matches_dense_loops"]),
+    ("mat_mul_skip_keyed_on_first_entry", "src/ffcurve/exactalg.py",
+     "            if a:\n                for j, b in brow:",
+     "            if arow[0]:\n                for j, b in brow:",
+     ["tests/test_exactalg.py::test_mat_mul_matches_dense_loops"]),
+    ("pivot_early_exit_at_norm_2", "src/ffcurve/exactalg.py",
+     "if w == 1:", "if w == 2:",
+     ["tests/test_exactalg.py::test_elimination_logs_match_recorded_digest"]),
+    ("pivot_column_off_by_t", "src/ffcurve/exactalg.py",
+     "enumerate(S[i][t:], t)", "enumerate(S[i][t:])",
+     ["tests/test_exactalg.py::test_smith_form_matches_dense_loops"]),
+    ("divides_ignores_the_remainder", "src/ffcurve/exactalg.py",
+     "return not self.divmod(b, a)[1]", "return True",
+     ["tests/test_exactalg.py::test_divides_matches_remainder"]),
+    ("stray_scan_skips_a_column", "src/ffcurve/exactalg.py",
+     "for x in S[i][t + 1 :]", "for x in S[i][t + 2 :]",
+     ["tests/test_exactalg.py::test_smith_form_matches_dense_loops"]),
+    ("inverse_add_sign", "src/ffcurve/exactalg.py",
+     'row("add", i, t, -q, q)', 'row("add", i, t, -q, -q)',
+     ["tests/test_exactalg.py::test_snf_randomized_all_domains"]),
+    ("unit_inverse_not_taken", "src/ffcurve/exactalg.py",
+     'row("scale", t, None, u, dom.unit_inverse(u))', 'row("scale", t, None, u, u)',
+     ["tests/test_exactalg.py::test_snf_randomized_all_domains"]),
+    ("q_inverse_swap_dropped", "src/ffcurve/exactalg.py",
+     "            Pinv[i], Pinv[j] = Pinv[j], Pinv[i]\n", "",
+     ["tests/test_exactalg.py::test_q_inverse_transforms_match_the_replayed_ones"]),
+    ("rationals_gcd_deleted", "src/ffcurve/exactalg.py",
+     "    def gcd(self, a, b):\n        return Fraction(0) if a == b == 0 else Fraction(1)\n", "",
+     ["tests/test_complexes.py::test_decalage_over_rationals_is_pinned"]),
+    ("product_over_one_denominator", "src/ffcurve/polyring.py",
+     "an, bn, e = a._n, b._n, a._d * b._d", "an, bn, e = a._n, b._n, a._d",
+     ["tests/test_exactalg.py::test_poly_mul_matches_fraction_schoolbook"]),
+    ("canon_keeps_trailing_zeros", "src/ffcurve/polyring.py",
+     "    while n and not n[-1]:\n        n.pop()\n", "",
+     ["tests/test_exactalg.py::test_poly_results_are_canonical"]),
+    ("poly_bool_always_true", "src/ffcurve/polyring.py",
+     "return bool(self._n)", "return True",
+     ["tests/test_exactalg.py::test_poly_truthiness"]),
+    ("d_d_unchecked", "src/ffcurve/complexes.py",
+     "if any(not dom.is_zero(x) for row in prod.data for x in row):", "if False:",
+     ["tests/test_complexes.py::test_composition_must_vanish"]),
+    ("cohomology_through_smith_normal_form", "src/ffcurve/complexes.py",
+     "        f_out = smith_elimination(dom, C.differential_at(j))\n",
+     "        from . import exactalg\n"
+     "        f_out = exactalg.smith_normal_form(dom, C.differential_at(j))\n",
+     ["tests/test_complexes.py::test_cohomology_builds_no_transform"]),
+    ("eta_terms_build_the_transforms", "src/ffcurve/complexes.py",
+     "        smith = smith_elimination(dom, C.differential_at(j))\n",
+     "        smith = smith_elimination(dom, C.differential_at(j))\n"
+     "        from . import exactalg\n"
+     "        exactalg.smith_normal_form(dom, C.differential_at(j))\n",
+     ["tests/test_complexes.py::test_eta_terms_build_no_row_transform"]),
+    ("decalage_map_target_terms_of_the_source", "src/ffcurve/complexes.py",
+     "tgt_terms = _eta_terms(phi.target, f, delta)", "tgt_terms = _eta_terms(phi.source, f, delta)",
+     ["tests/test_complexes.py::test_decalage_map_ends_are_the_decalages"]),
     # ---- hand mutants recorded before the table existed
     ("levels_keep_h_1", "src/ffcurve/bc.py",
      "for *_, s in _walk(self.target)[0] if s.h > 1)",
@@ -256,7 +332,8 @@ MUTANTS = [
 def _pytest(tree: Path, nodes):
     """pytest's exit code on nodes, or None if it ran over TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=%d" % HYPOTHESIS_SEED, *nodes]
     try:
         return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode

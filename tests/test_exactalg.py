@@ -6,6 +6,7 @@ on with randomized matrices over all three domains.
 """
 
 import hashlib
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -97,7 +98,7 @@ _MONOMIAL = st.builds(lambda k, c: [Fraction(0)] * k + [c], st.integers(0, 5), _
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.lists(_COEFF, max_size=4), _MONOMIAL), st.integers(0, 9))
 def test_poly_pow_matches_repeated_products(a, n):
-    # square-and-multiply, and a coefficient shift for c*t^k, zero included
+    # square-and-multiply on every base: c*t^k and zero included
     p = Poly(a)
     want = Poly.const(1)
     for _ in range(n):
@@ -195,9 +196,20 @@ def test_poly_eq_and_hash_agree_across_constructions(a, b, c):
     assert (p == c) == (p.degree == 0 and p.coeffs[0] == c)
 
 
-def test_poly_divmod_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divmod(t, Poly())
+_POLY_OPS = {"mul": operator.mul, "divmod": divmod, "floordiv": operator.floordiv,
+             "mod": operator.mod}
+
+
+@pytest.mark.parametrize("name, other, error", [
+    *(pytest.param(name, Poly(), ZeroDivisionError, id=name + "-zero")
+      for name in ("divmod", "floordiv", "mod")),
+    *(pytest.param(name, other, TypeError, id="%s-%s" % (name, kind))
+      for name in _POLY_OPS for kind, other in (("float", 0.5), ("bool", True), ("str", "t"))),
+])
+def test_poly_divmod_by_zero(name, other, error):
+    # every division reaches the one divisor check in Poly.__divmod__
+    with pytest.raises(error):
+        _POLY_OPS[name](t, other)
 
 
 def test_poly_gcd():

@@ -35,3 +35,18 @@ def test_a_run_over_its_timeout_is_reported_and_counts_as_surviving(monkeypatch,
     assert calls == [mutants.TIMEOUT_S] * 2
     assert "%s TIMEOUT" % MUTANTS[0][0] in " ".join(out.split())
     assert "0 of 1 mutants killed" in out
+
+
+def test_every_run_is_seeded(monkeypatch, capsys):
+    cmds = []
+
+    def run(cmd, **kw):
+        cmds.append(cmd)
+        return subprocess.CompletedProcess(cmd, 1 if len(cmds) > 1 else 0)
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    assert mutants.main(["--only", MUTANTS[0][0]]) == 0
+    assert "1 of 1 mutants killed" in capsys.readouterr().out
+    assert len(cmds) == 2
+    for cmd in cmds:
+        assert "--hypothesis-seed=%d" % mutants.HYPOTHESIS_SEED in cmd
